@@ -47,9 +47,9 @@ from .verifiers import (
 )
 from .attachment import (
     DISCONNECTED_ATTACHMENT,
-    AttachmentDigraph,
-    GsTreeOutcome,
     UNREALIZABLE_ATTACHMENT,
+    AttachmentDigraph,
+    RecognitionOutcome,
     blocker_set,
     build_attachment_digraph,
     enumerate_gs_tree_supports,
@@ -61,14 +61,7 @@ from .dfs_tree import (
     FINAL_VERIFY_FAILED,
     RESTRICTION_FAILS,
     TSTAR_NOT_SUPPORT_FULL,
-    QMap,
-    RecognitionOutcome,
-    assign_parents,
-    guider,
-    purify,
-    q_path,
     recognize_dfs_tree,
-    sigma_over,
 )
 from .oracles import (
     DegBounded,
@@ -90,4 +83,23 @@ from .reductions import (
     validate_forward,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CapError", "FormatError", "Graph", "NotATreeError", "Ordering", "Profile", "Tree",
+    "Universe", "emit_graph", "emit_profile", "ordering_delete", "ordering_prefix",
+    "ordering_up_to", "parse_bounded_profile", "parse_graph", "parse_profile",
+    "tree_path", "universe_of",
+    "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",
+    "enumerate_orderings", "generate_ordering", "is_partial_ordering",
+    "step_candidates",
+    "PARADIGM_PROPERTY", "FourPointProperty", "bfs_first_vertex_check",
+    "certify_by_simulation", "is_s_ordering", "satisfies_property",
+    "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
+    "RecognitionOutcome", "blocker_set", "build_attachment_digraph",
+    "enumerate_gs_tree_supports", "forced_subtree", "recognize_gs_tree",
+    "EMPTY_Q", "FINAL_VERIFY_FAILED", "RESTRICTION_FAILS", "TSTAR_NOT_SUPPORT_FULL",
+    "recognize_dfs_tree",
+    "DegBounded", "EdgeBounded", "OracleResult", "ProblemKind", "TreeSupport",
+    "all_tree_supports", "brute_force_graph_support", "brute_force_tree_support",
+    "enumerate_labeled_trees", "min_vertex_cover",
+    "Drone", "ReductionInstance", "build_drone", "reduce", "validate_forward",
+]

@@ -11,9 +11,21 @@ second-ranked one.
 
 A vertex with at most one out-neighbor is *forced* (its tree edge is
 determined); with two or more it is *free*. A tree support exists iff
-the underlying undirected graph (the attachment graph) is connected,
-and the supports are exactly the trees obtained by keeping one
-outgoing arc per vertex that has any.
+some realization keeping one outgoing arc per vertex spans, and the
+supports are exactly those realizations.
+
+Everything runs on vertex indices, with vertex sets as bitmasks (bit i
+set = index i). For n vertices and k orderings, with w = n/64 machine
+words per mask:
+
+    build_attachment_digraph   O(k n) mask operations, O(k n^2 / w)
+                               word operations; one out-neighbor mask
+                               per vertex, nothing sorted
+    forced / free / sinks      O(n) mask tests
+    recognize_gs_tree          the digraph, then O(n) on YES; a NO adds
+                               one connectivity search, O(n + arcs)
+    arcs, arc_names,           O(n + arcs), derived from the masks on
+    underlying_graph           demand
 """
 
 from __future__ import annotations
@@ -23,10 +35,19 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable
 
-from .core import CapError, Graph, Ordering, Profile, Tree
+from .core import CapError, Graph, Ordering, Profile, Tree, Universe, iter_bits
 
 DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 UNREALIZABLE_ATTACHMENT = "UNREALIZABLE_ATTACHMENT"
+
+
+@dataclass(frozen=True)
+class RecognitionOutcome:
+    """A recognizer's answer: a witness tree on YES, a reason code on NO."""
+
+    is_yes: bool
+    tree: Tree | None = None
+    reason: str | None = None
 
 
 def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
@@ -49,46 +70,71 @@ def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class AttachmentDigraph:
-    universe_names: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
+    """out_masks[v] holds v's out-neighbors; final_pair_arc is the arc
+    joining the last two survivors, by name, if two survived."""
+
+    universe: Universe
+    out_masks: tuple[int, ...]
     final_pair_arc: tuple[str, str] | None
 
-    @cached_property
-    def _rank(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.universe_names)}
-
     def out_neighbors(self, v: str) -> tuple[str, ...]:
-        rank = self._rank
-        return tuple(
-            sorted((b for a, b in self.arcs if a == v), key=rank.__getitem__)
-        )
+        """Out-neighbors of v, in universe order."""
+        name = self.universe.name
+        return tuple(name(u) for u in iter_bits(self.out_masks[self.universe.index(v)]))
 
     @cached_property
-    def forced(self) -> frozenset[str]:
-        counts = {v: 0 for v in self.universe_names}
-        for a, _b in self.arcs:
-            counts[a] += 1
-        return frozenset(v for v, c in counts.items() if c <= 1)
+    def forced_mask(self) -> int:
+        mask = 0
+        for v, out in enumerate(self.out_masks):
+            if not out & (out - 1):  # at most one bit set
+                mask |= 1 << v
+        return mask
 
-    @cached_property
-    def free(self) -> frozenset[str]:
-        return frozenset(self.universe_names) - self.forced
+    def _names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self.universe.name(v) for v in iter_bits(mask))
 
     def forced_names(self) -> tuple[str, ...]:
-        rank = self._rank
-        return tuple(sorted(self.forced, key=rank.__getitem__))
+        return self._names(self.forced_mask)
 
     def free_names(self) -> tuple[str, ...]:
-        rank = self._rank
-        return tuple(sorted(self.free, key=rank.__getitem__))
+        return self._names(((1 << self.universe.n) - 1) & ~self.forced_mask)
+
+    @property
+    def free(self) -> frozenset[str]:
+        return frozenset(self.free_names())
+
+    def index_arcs(self) -> Iterable[tuple[int, int]]:
+        """Arcs as index pairs, sorted."""
+        for v, out in enumerate(self.out_masks):
+            for u in iter_bits(out):
+                yield v, u
 
     def arc_names(self) -> tuple[tuple[str, str], ...]:
-        rank = self._rank
-        return tuple(sorted(self.arcs, key=lambda arc: (rank[arc[0]], rank[arc[1]])))
+        """Arcs as name pairs, sorted by index pair."""
+        name = self.universe.name
+        return tuple((name(v), name(u)) for v, u in self.index_arcs())
+
+    @property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.arc_names())
+
+    def sink_count(self) -> int:
+        return sum(1 for out in self.out_masks if not out)
 
     def underlying_graph(self) -> Graph:
         """The attachment graph: arcs undirected."""
-        return Graph.build(self.universe_names, self.arcs)
+        return Graph.from_pairs(self.universe, self.index_arcs())
+
+    def is_connected(self) -> bool:
+        """Whether the attachment graph is connected.
+
+        Arcs lead from a vertex to one peeled in a strictly later round
+        (or from the lower to the higher of the final pair), so keeping
+        one outgoing arc per non-sink gives a forest with one tree per
+        sink. A single sink therefore connects everything, and only
+        several sinks need a search.
+        """
+        return self.sink_count() == 1 or self.underlying_graph().is_connected()
 
 
 def build_attachment_digraph(
@@ -96,91 +142,103 @@ def build_attachment_digraph(
 ) -> AttachmentDigraph:
     """Peel bottom-ranked vertices and record their common blockers.
 
+    Each ordering keeps a head and a tail pointer over the `alive` mask;
+    a vertex's blockers in an ordering are its "before v" mask ANDed
+    with `alive`, unless it heads the survivors there.
+
     When exactly two vertices survive, they are joined by one arc whose
     direction carries no information; it runs lower index -> higher by
     convention (`reverse_final_pair` flips it, for invariance tests).
     """
     uni = profile.universe
     n = uni.n
-    positions = [ordering._pos for ordering in profile.orderings]
-    surviving = set(range(n))
-    arcs: set[tuple[int, int]] = set()
-    while len(surviving) >= 3:
-        peeled = {max(surviving, key=pos.__getitem__) for pos in positions}
-        for v in sorted(peeled):
-            common: set[int] | None = None
-            for pos in positions:
-                ordered = sorted(surviving, key=pos.__getitem__)
-                if ordered[0] == v:
-                    blockers = {ordered[1]}
+    rows = [ordering.seq for ordering in profile.orderings]
+    before: list[list[int]] = []
+    for seq in rows:
+        masks = [0] * n
+        ahead = 0
+        for v in seq:
+            masks[v] = ahead
+            ahead |= 1 << v
+        before.append(masks)
+    heads = [0] * len(rows)
+    tails = [n - 1] * len(rows)
+    alive = (1 << n) - 1
+    left = n
+    out = [0] * n
+    while left >= 3:
+        peeled = set()
+        for r, seq in enumerate(rows):
+            while not alive >> seq[heads[r]] & 1:
+                heads[r] += 1
+            while not alive >> seq[tails[r]] & 1:
+                tails[r] -= 1
+            peeled.add(seq[tails[r]])
+        for v in peeled:
+            common = alive
+            for r, seq in enumerate(rows):
+                h = heads[r]
+                if seq[h] == v:  # v heads the survivors: blocked by the runner-up only
+                    h += 1
+                    while not alive >> seq[h] & 1:
+                        h += 1
+                    common &= 1 << seq[h]
                 else:
-                    pv = pos[v]
-                    blockers = {y for y in surviving if pos[y] < pv}
-                common = blockers if common is None else common & blockers
-            arcs.update((v, u) for u in common or ())
-        surviving -= peeled
-    final_arc: tuple[int, int] | None = None
-    if len(surviving) == 2:
-        low, high = sorted(surviving)
-        final_arc = (high, low) if reverse_final_pair else (low, high)
-        arcs.add(final_arc)
-    name = uni.name
-    return AttachmentDigraph(
-        universe_names=uni.names,
-        arcs=frozenset((name(a), name(b)) for a, b in arcs),
-        final_pair_arc=None if final_arc is None else (name(final_arc[0]), name(final_arc[1])),
-    )
+                    common &= before[r][v]
+            out[v] = common
+        for v in peeled:
+            alive ^= 1 << v
+        left -= len(peeled)
+    final_arc: tuple[str, str] | None = None
+    if left == 2:
+        low, high = iter_bits(alive)
+        tail, head = (high, low) if reverse_final_pair else (low, high)
+        out[tail] |= 1 << head
+        final_arc = (uni.name(tail), uni.name(head))
+    return AttachmentDigraph(uni, tuple(out), final_arc)
 
 
-def forced_subtree(profile: Profile, digraph: AttachmentDigraph) -> Tree:
-    """The subgraph of the attachment graph induced by forced vertices.
+def forced_subtree(digraph: AttachmentDigraph) -> Graph:
+    """T*: the arcs between forced vertices, undirected, over the whole
+    universe (free vertices stay isolated).
 
-    Raises NotATreeError if it is not a tree; that cannot happen when
-    the profile admits a GS-tree support.
+    Every tree support contains it. It is a tree on the forced vertices
+    whenever the profile admits a GS-tree support.
     """
-    if digraph.universe_names != profile.universe.names:
-        raise ValueError("digraph was built for a different universe")
-    induced = digraph.underlying_graph().induced(digraph.forced_names())
-    return Tree.from_graph(induced)
+    forced = digraph.forced_mask
+    pairs = []
+    for v in iter_bits(forced):
+        head = digraph.out_masks[v] & forced
+        if head:  # a forced vertex has at most one out-neighbor
+            pairs.append((v, head.bit_length() - 1))
+    return Graph.from_pairs(digraph.universe, pairs)
 
 
-@dataclass(frozen=True)
-class GsTreeOutcome:
-    is_yes: bool
-    tree: Tree | None = None
-    reason: str | None = None
-
-
-def _sink_count(digraph: AttachmentDigraph) -> int:
-    withdrawn = {v for v, _ in digraph.arcs}
-    return len(digraph.universe_names) - len(withdrawn)
-
-
-def recognize_gs_tree(profile: Profile) -> GsTreeOutcome:
+def recognize_gs_tree(profile: Profile) -> RecognitionOutcome:
     """Decide whether some tree admits every profile ordering as a
     generic-search ordering; on YES, return one witness.
 
     Supports are exactly the realizations that keep one outgoing arc per
-    vertex that has any.  Arcs always lead from a vertex to one removed
-    in a strictly later round, so realizations are forests with one edge
-    per non-sink vertex: they are spanning trees precisely when the
-    digraph has a single sink.  (Connectivity of the attachment graph is
-    necessary but not sufficient — several sinks can coexist with it.)
+    vertex that has any. They are forests with one tree per sink (see
+    AttachmentDigraph.is_connected), so they span precisely when the
+    digraph has a single sink. The connectivity search runs only on a
+    NO, to tell a split attachment graph from a connected one that still
+    supports nothing (several sinks can coexist with connectivity).
 
     The witness keeps, for every vertex with outgoing arcs, the arc to
     its lowest-index out-neighbor.
     """
     digraph = build_attachment_digraph(profile)
-    if not digraph.underlying_graph().is_connected():
-        return GsTreeOutcome(False, reason=DISCONNECTED_ATTACHMENT)
-    if _sink_count(digraph) != 1:
-        return GsTreeOutcome(False, reason=UNREALIZABLE_ATTACHMENT)
-    edges = []
-    for v in digraph.universe_names:
-        outs = digraph.out_neighbors(v)
-        if outs:
-            edges.append((v, outs[0]))
-    return GsTreeOutcome(True, tree=Tree.build(profile.universe.names, edges))
+    if digraph.sink_count() != 1:
+        connected = digraph.is_connected()
+        reason = UNREALIZABLE_ATTACHMENT if connected else DISCONNECTED_ATTACHMENT
+        return RecognitionOutcome(False, reason=reason)
+    lowest = [
+        (v, (out & -out).bit_length() - 1)
+        for v, out in enumerate(digraph.out_masks)
+        if out
+    ]
+    return RecognitionOutcome(True, tree=Tree.from_pairs(profile.universe, lowest))
 
 
 def enumerate_gs_tree_supports(
@@ -189,19 +247,13 @@ def enumerate_gs_tree_supports(
     """All tree supports, as realizations keeping one outgoing arc per
     vertex. Empty when no realization spans (see recognize_gs_tree)."""
     digraph = build_attachment_digraph(profile)
-    if not digraph.underlying_graph().is_connected():
-        return ()
-    if _sink_count(digraph) != 1:
+    if digraph.sink_count() != 1:
         return ()
     if len(digraph.free) > free_cap:
         raise CapError(f"profile has more than {free_cap} free vertices")
     choice_lists = [
-        [(v, u) for u in digraph.out_neighbors(v)]
-        for v in digraph.universe_names
-        if digraph.out_neighbors(v)
+        [(v, u) for u in iter_bits(out)] for v, out in enumerate(digraph.out_masks) if out
     ]
-    trees = [
-        Tree.build(profile.universe.names, picks) for picks in product(*choice_lists)
-    ]
+    trees = [Tree.from_pairs(profile.universe, picks) for picks in product(*choice_lists)]
     trees.sort(key=lambda t: t.edge_names())
     return tuple(trees)

@@ -148,18 +148,16 @@ def enumerate_cmd(paradigm: str, graph_path: str, cap: int) -> None:
 def recognize(ctx: click.Context, paradigm: str, profile_path: str) -> None:
     """Decide tree-support existence; print a witness tree on YES."""
     profile, _ = _load_profile(profile_path)
-    if paradigm == "dfs-tree":
-        outcome = dfs_tree.recognize_dfs_tree(profile)
-        is_yes, tree, reason = outcome.is_yes, outcome.tree, outcome.reason
-    else:
-        result = attachment_mod.recognize_gs_tree(profile)
-        is_yes, tree, reason = result.is_yes, result.tree, result.reason
-    if is_yes:
+    recognizer = (
+        dfs_tree.recognize_dfs_tree if paradigm == "dfs-tree" else attachment_mod.recognize_gs_tree
+    )
+    outcome = recognizer(profile)
+    if outcome.is_yes:
         click.echo("YES")
-        for a, b in tree.edge_names():
+        for a, b in outcome.tree.edge_names():
             click.echo(f"{a} {b}")
     else:
-        click.echo(f"NO {reason}")
+        click.echo(f"NO {outcome.reason}")
         ctx.exit(1)
 
 

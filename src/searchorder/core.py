@@ -78,6 +78,14 @@ def universe_of(names: Iterable[str]) -> Universe:
     return Universe(tuple(names))
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph over a vertex universe.
@@ -106,6 +114,11 @@ class Graph:
                 raise ValueError(f"self-loop at {a!r}")
             pairs.add((min(u, v), max(u, v)))
         return cls(uni, frozenset(pairs))
+
+    @classmethod
+    def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]):
+        """The graph with the given index-pair edges, in either orientation."""
+        return cls(universe, frozenset((min(a, b), max(a, b)) for a, b in pairs))
 
     @property
     def n(self) -> int:

@@ -1,23 +1,36 @@
 """Polynomial-time recognition of DFS tree supports.
 
 Given a profile of orderings, decide whether some tree admits every
-ordering as a DFS-ordering, and build one if so. Pipeline:
+ordering as a DFS-ordering, and build one if so. Pipeline, with the
+cost of each stage for n vertices, k orderings and T* of diameter h:
 
-1. Build the attachment digraph; a disconnected attachment graph rules
-   out any tree support (generic search subsumes DFS).
+1. Build the attachment digraph (see `attachment`); a disconnected
+   attachment graph rules out any tree support (generic search
+   subsumes DFS). The connectivity search runs only when the digraph
+   has several sinks.
 2. The forced vertices induce a subgraph T* that any support must
    contain, so T* not being a tree is already a refutation. If every
    vertex is forced, T* is the only candidate; verify it directly.
+   T* comes from the forced vertices' out-neighbor masks: O(n).
 3. Otherwise every ordering restricted to the forced set must be a
-   DFS-ordering of T*, and each free vertex v gets a candidate set
-   Q(v): for each ordering, the T*-path between v's *guider* (nearest
-   preceding forced vertex) and a per-ordering anchor, intersected
-   over all orderings.
-4. Candidate sets are narrowed pairwise (purification) to a fixed
-   point; an empty set means no support exists.
-5. Each free vertex is attached as a leaf to its lowest-priority
-   remaining candidate; a final verification of the assembled tree is
-   defensive and is never expected to fail.
+   DFS-ordering of T* (a linear stack check: O(k n)), and each free
+   vertex v gets a candidate set Q(v): for each ordering, the T*-path
+   between v's *guider* (nearest preceding forced vertex) and a
+   per-ordering anchor, intersected over all orderings. One sweep per
+   ordering finds every guider and anchor; T* is rooted once per
+   distinct first vertex; paths are walked up to their meeting vertex
+   by parent and depth: O(k n h) in all.
+4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
+   to a fixed point; an empty set means no support exists. A group of
+   free vertices sharing a guider in one ordering is narrowed in one
+   pass over its members, O(group size * h), plus one O(n) search per
+   distinct guider; a group is passed over again only when one of its
+   sets shrank, so there are at most O(n h k) passes in all and
+   usually a few per group.
+5. Each free vertex is attached as a leaf to its lowest-index
+   remaining candidate: O(n). A final verification of the assembled
+   tree (the same linear check, O(k n)) is defensive and is never
+   expected to fail.
 
 Free vertices are always leaves of the constructed tree.
 """
@@ -25,201 +38,243 @@ Free vertices are always leaves of the constructed tree.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import deque
+from itertools import accumulate
+from typing import Sequence
 
-from .core import Ordering, Profile, Tree, Universe, tree_path
-from .attachment import build_attachment_digraph
-from .traversals import Paradigm
-from .verifiers import is_s_ordering
+from .attachment import (
+    DISCONNECTED_ATTACHMENT,
+    RecognitionOutcome,
+    build_attachment_digraph,
+    forced_subtree,
+)
+from .core import Graph, Profile, Tree, iter_bits
 
 log = logging.getLogger(__name__)
 
-DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
 RESTRICTION_FAILS = "RESTRICTION_FAILS"
 EMPTY_Q = "EMPTY_Q"
 FINAL_VERIFY_FAILED = "FINAL_VERIFY_FAILED"
 
-QMap = dict[str, frozenset[str]]
 
+def is_tree_dfs_ordering(forest: Graph, seq: Sequence[int]) -> bool:
+    """Whether seq, listing once every vertex of the forest that has an
+    edge, is a DFS-ordering of it.
 
-@dataclass(frozen=True)
-class RecognitionOutcome:
-    is_yes: bool
-    tree: Tree | None = None
-    reason: str | None = None
-
-
-def guider(sigma: Ordering, v: str, forced: frozenset[str] | set[str]) -> str:
-    """The forced vertex closest to v from the left in sigma."""
-    pv = sigma.position(v)
-    best: str | None = None
-    best_pos = -1
-    for u in forced:
-        pu = sigma.position(u)
-        if best_pos < pu < pv:
-            best = u
-            best_pos = pu
-    if best is None:
-        raise ValueError(f"no forced vertex precedes {v!r}")
-    return best
-
-
-def q_path(sigma: Ordering, v: str, tstar: Tree) -> frozenset[str]:
-    """Candidate attachment vertices for free v contributed by sigma:
-    the T*-path between v's guider and the anchor vertex.
-
-    The anchor is the first vertex of sigma when no forced vertex
-    follows v; otherwise it is the parent (in T* rooted at sigma's
-    first vertex) of the forced vertex closest to v from the right.
+    DFS visits next an unvisited neighbor of the latest visited vertex
+    that still has one, and restarts anywhere when no visited vertex
+    has one. Visited vertices sit on a stack; finished ones are popped
+    as they surface, so the check is linear in the forest's size.
     """
-    forced = frozenset(tstar.universe.names)
-    u = guider(sigma, v, forced)
-    pv = sigma.position(v)
-    succ: str | None = None
-    succ_pos = len(sigma) + 1
-    for x in forced:
-        px = sigma.position(x)
-        if pv < px < succ_pos:
-            succ = x
-            succ_pos = px
-    root = sigma.at(1)
-    if succ is None:
-        anchor = root
-    else:
-        anchor = tstar.parents(root)[succ]
-    return frozenset(tree_path(tstar, u, anchor))
+    adj = forest._adj
+    unvisited = [len(neighbors) for neighbors in adj]
+    stack: list[int] = []
+    for x in seq:
+        while stack and not unvisited[stack[-1]]:
+            stack.pop()
+        if stack and x not in adj[stack[-1]]:
+            return False
+        for y in adj[x]:
+            unvisited[y] -= 1
+        stack.append(x)
+    return True
 
 
-def purify(qmap: QMap, profile: Profile, tstar: Tree) -> QMap:
+def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Parent and depth maps of root's component, rooted at root (the
+    root is its own parent); depths are distances from root."""
+    adj = tstar._adj
+    parent = {root: root}
+    depth = {root: 0}
+    order = [root]
+    for u in order:
+        d = depth[u] + 1
+        for w in adj[u]:
+            if w not in depth:
+                parent[w] = u
+                depth[w] = d
+                order.append(w)
+    return parent, depth
+
+
+def _path_mask(parent: dict[int, int], depth: dict[int, int], u: int, w: int) -> int:
+    """The vertices of the tree path between u and w, as a mask."""
+    mask = 1 << u | 1 << w
+    while depth[u] > depth[w]:
+        u = parent[u]
+        mask |= 1 << u
+    while depth[w] > depth[u]:
+        w = parent[w]
+        mask |= 1 << w
+    while u != w:
+        u, w = parent[u], parent[w]
+        mask |= 1 << u | 1 << w
+    return mask
+
+
+def q_path(
+    seq: Sequence[int], forced: int, parent: dict[int, int], depth: dict[int, int]
+) -> dict[int, tuple[int, int]]:
+    """The Q-path contributions of one ordering, for every free vertex.
+
+    `parent` and `depth` describe T* rooted at the ordering's first
+    vertex. For free v, the guider is the nearest forced vertex before
+    v. The anchor is the root when no forced vertex follows v, and
+    otherwise the parent of the nearest forced vertex after v. Returns
+    {v: (guider, mask of the T*-path from guider to anchor)}, in the
+    ordering's order.
+    """
+    found: dict[int, tuple[int, int]] = {}
+    guider = -1
+    waiting: list[tuple[int, int]] = []  # (free vertex, guider), next forced one unseen
+    for x in (*seq, -1):  # -1 ends the ordering: no forced vertex follows
+        if x >= 0 and not forced >> x & 1:
+            waiting.append((x, guider))
+            continue
+        anchor = parent[x] if x >= 0 else seq[0]
+        for v, w in waiting:
+            found[v] = (w, _path_mask(parent, depth, w, anchor))
+        waiting = []
+        guider = x
+    return found
+
+
+def candidate_sets(
+    rows: Sequence[Sequence[int]], forced: int, tstar: Graph
+) -> tuple[dict[int, int], list[dict[int, int]]]:
+    """Q(v) for every free vertex v, as the intersection of its Q-paths
+    over the orderings, plus each ordering's guiders ({v: guider}, in
+    the ordering's order). T* is rooted once per distinct first vertex."""
+    rooted: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    q: dict[int, int] = {}
+    guiders: list[dict[int, int]] = []
+    for seq in rows:
+        if seq[0] not in rooted:
+            rooted[seq[0]] = _rooted_at(tstar, seq[0])
+        found = q_path(seq, forced, *rooted[seq[0]])
+        guiders.append({v: w for v, (w, _path) in found.items()})
+        for v, (_w, path) in found.items():
+            q[v] = q.get(v, path) & path
+    return q, guiders
+
+
+def purify(q: dict[int, int], guiders: list[dict[int, int]], tstar: Graph) -> dict[int, int]:
     """Apply the pairwise narrowing rule to a fixed point.
 
-    For free u before v in some ordering, sharing guider w: drop from
-    Q(v) the vertices strictly closer to w (in T*) than all of Q(u),
-    and from Q(u) those strictly farther from w than all of Q(v).
-    Removals are monotone, so the fixed point is sweep-order
-    independent; pairs with an already-empty set are skipped (the
-    empty set itself is the caller's no-instance signal).
+    `q` maps free vertices to candidate masks; `guiders` holds, per
+    ordering, each free vertex's guider in that ordering's order. For
+    free u before v in some ordering, sharing guider w: drop from Q(v)
+    the vertices strictly closer to w (in T*) than all of Q(u), and
+    from Q(u) those strictly farther from w than all of Q(v). Pairs
+    with an empty set are skipped (the empty set itself is the caller's
+    no-instance signal).
+
+    A group of free vertices sharing a guider in one ordering is
+    narrowed in one pass: every member against the largest nearest
+    distance before it and the smallest farthest distance after it,
+    both read from the sets as the pass found them. A group is visited
+    again only when one of its members changed. Removals are monotone,
+    so when no set empties, the fixed point is the same for every
+    visiting order; when one does, some set ends empty for every order.
     """
-    forced = frozenset(tstar.universe.names)
-    q = dict(qmap)
-    dist_cache: dict[str, dict[str, int]] = {}
-
-    def dist(w: str) -> dict[str, int]:
-        if w not in dist_cache:
-            dist_cache[w] = tstar.distances(w)
-        return dist_cache[w]
-
-    groups: list[tuple[str, list[str]]] = []
-    for sigma in profile.orderings:
-        by_guider: dict[str, list[str]] = {}
-        for v in sigma.names:
-            if v in q:
-                by_guider.setdefault(guider(sigma, v, forced), []).append(v)
+    q = dict(q)
+    groups: list[tuple[int, list[int]]] = []
+    for row in guiders:
+        by_guider: dict[int, list[int]] = {}
+        for v, w in row.items():
+            by_guider.setdefault(w, []).append(v)
         groups.extend((w, vs) for w, vs in by_guider.items() if len(vs) > 1)
+    groups_of: dict[int, list[int]] = {}
+    for g, (_w, members) in enumerate(groups):
+        for v in members:
+            groups_of.setdefault(v, []).append(g)
 
-    changed = True
-    while changed:
-        changed = False
-        for w, members in groups:
-            dw = dist(w)
-            for a in range(len(members)):
-                u = members[a]
-                for b in range(a + 1, len(members)):
-                    v = members[b]
-                    qu, qv = q[u], q[v]
-                    if not qu or not qv:
-                        continue
-                    nearest_u = min(dw[x] for x in qu)
-                    farthest_v = max(dw[x] for x in qv)
-                    drop_v = frozenset(x for x in qv if dw[x] < nearest_u)
-                    drop_u = frozenset(x for x in qu if dw[x] > farthest_v)
-                    if drop_v or drop_u:
-                        q[v] = qv - drop_v
-                        q[u] = qu - drop_u
-                        changed = True
+    distances: dict[int, dict[int, int]] = {}
+    pending = deque(range(len(groups)))
+    queued = [True] * len(groups)
+    while pending:
+        g = pending.popleft()
+        queued[g] = False
+        w, members = groups[g]
+        if w not in distances:
+            distances[w] = _rooted_at(tstar, w)[1]
+        dw = distances[w]
+        spans = []  # (nearest, farthest) distance of each member's set; None if empty
+        for v in members:
+            ds = [dw[x] for x in iter_bits(q[v])]
+            spans.append((min(ds), max(ds)) if ds else None)
+        # floors[i]: largest nearest distance before member i; ceilings[i + 1]:
+        # smallest farthest distance after it (empty sets bound nothing)
+        floors = [-1, *accumulate((s[0] if s else -1 for s in spans), max)]
+        ceilings = [*accumulate((s[1] if s else tstar.n for s in reversed(spans)), min,
+                                initial=tstar.n)][::-1]
+        for i, (v, span) in enumerate(zip(members, spans)):
+            low, high = floors[i], ceilings[i + 1]
+            if span is None or low <= span[0] and span[1] <= high:
+                continue
+            kept = 0
+            for x in iter_bits(q[v]):
+                if low <= dw[x] <= high:
+                    kept |= 1 << x
+            q[v] = kept
+            for h in groups_of[v]:
+                if not queued[h]:
+                    queued[h] = True
+                    pending.append(h)
     return q
 
 
-def assign_parents(
-    tstar: Tree,
-    qmap: QMap,
-    universe: Universe,
-    priority: tuple[str, ...] | None = None,
-) -> Tree:
-    """Attach every free vertex as a leaf to its highest-priority
-    remaining candidate (default priority: universe order)."""
-    rank = {name: i for i, name in enumerate(priority or universe.names)}
-    edges = list(tstar.edge_names())
-    for v in sorted(qmap, key=rank.__getitem__):
-        candidates = qmap[v]
+def assign_parents(tstar: Graph, q: dict[int, int]) -> Tree:
+    """Attach every free vertex as a leaf to its lowest-index remaining
+    candidate."""
+    pairs = list(tstar.edges)
+    for v, candidates in q.items():
         if not candidates:
-            raise ValueError(f"empty candidate set for {v!r}")
-        edges.append((v, min(candidates, key=rank.__getitem__)))
-    return Tree.build(universe.names, edges)
+            raise ValueError(f"empty candidate set for {tstar.universe.name(v)!r}")
+        pairs.append((v, (candidates & -candidates).bit_length() - 1))
+    return Tree.from_pairs(tstar.universe, pairs)
 
 
 def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     """Decide whether a tree admits every profile ordering as a
     DFS-ordering; on YES the outcome carries one witness tree."""
     digraph = build_attachment_digraph(profile)
-    attachment = digraph.underlying_graph()
-    if not attachment.is_connected():
+    if not digraph.is_connected():
         return RecognitionOutcome(False, reason=DISCONNECTED_ATTACHMENT)
-    forced = digraph.forced
-    universe = profile.universe
-    induced = attachment.induced(digraph.forced_names())
-    # Any tree support must contain the forced-induced subgraph, so a cycle
-    # or a second component in it already refutes every candidate.  Only
-    # supportable profiles are guaranteed to make it a tree.
-    forced_is_tree = induced.m == induced.n - 1 and induced.is_connected()
+    forced = digraph.forced_mask
+    forced_count = forced.bit_count()
+    tstar = forced_subtree(digraph)
+    rows = [sigma.seq for sigma in profile.orderings]
+    # Any tree support must contain T*, so a cycle or a second component in
+    # it already refutes every candidate.  Only supportable profiles are
+    # guaranteed to make it a tree.
+    start = (forced & -forced).bit_length() - 1
+    forced_is_tree = (
+        tstar.m == forced_count - 1 and len(_rooted_at(tstar, start)[1]) == forced_count
+    )
 
-    if len(forced) == universe.n:
-        if not forced_is_tree:
-            return RecognitionOutcome(False, reason=TSTAR_NOT_SUPPORT_FULL)
-        tstar = Tree.from_graph(induced)
-        for sigma in profile.orderings:
-            if not is_s_ordering(tstar, sigma_over(tstar, sigma), Paradigm.DFS):
-                return RecognitionOutcome(False, reason=TSTAR_NOT_SUPPORT_FULL)
-        return RecognitionOutcome(True, tree=tstar)
+    if forced_count == profile.universe.n:
+        if forced_is_tree and all(is_tree_dfs_ordering(tstar, seq) for seq in rows):
+            return RecognitionOutcome(True, tree=Tree(tstar.universe, tstar.edges))
+        return RecognitionOutcome(False, reason=TSTAR_NOT_SUPPORT_FULL)
 
     if not forced_is_tree:
         return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
-    tstar = Tree.from_graph(induced)
-
-    for sigma in profile.orderings:
-        restricted = Ordering.from_names(
-            tstar.universe, [x for x in sigma.names if x in forced]
-        )
-        if not is_s_ordering(tstar, restricted, Paradigm.DFS):
+    for seq in rows:
+        if not is_tree_dfs_ordering(tstar, [x for x in seq if forced >> x & 1]):
             return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
 
-    qmap: QMap = {}
-    for v in universe.names:
-        if v in forced:
-            continue
-        q: frozenset[str] | None = None
-        for sigma in profile.orderings:
-            contribution = q_path(sigma, v, tstar)
-            q = contribution if q is None else q & contribution
-        qmap[v] = q if q is not None else frozenset()
-
-    qmap = purify(qmap, profile, tstar)
-    if any(not q for q in qmap.values()):
+    q, guiders = candidate_sets(rows, forced, tstar)
+    q = purify(q, guiders, tstar)
+    if not all(q.values()):
         return RecognitionOutcome(False, reason=EMPTY_Q)
 
-    tree = assign_parents(tstar, qmap, universe)
-    for sigma in profile.orderings:
-        if not is_s_ordering(tree, sigma, Paradigm.DFS):
+    tree = assign_parents(tstar, q)
+    for seq in rows:
+        if not is_tree_dfs_ordering(tree, seq):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
             log.warning("assembled tree failed final verification")
             return RecognitionOutcome(False, reason=FINAL_VERIFY_FAILED)
     return RecognitionOutcome(True, tree=tree)
-
-
-def sigma_over(graph_like, sigma: Ordering) -> Ordering:
-    """Re-key a complete ordering onto an equal-name universe."""
-    if graph_like.universe == sigma.universe:
-        return sigma
-    return Ordering.from_names(graph_like.universe, sigma.names)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Graph, Ordering
+from .core import Graph, Ordering, iter_bits
 from .traversals import LabelState, Paradigm
 
 
@@ -63,13 +63,6 @@ _NEEDS_NONNEIGHBOR_OF_C = (
 )
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def satisfies_property(
     graph: Graph, sigma: Ordering, prop: FourPointProperty
 ) -> tuple[bool, tuple[str, str, str] | None]:
@@ -101,7 +94,7 @@ def satisfies_property(
     for pa in range(n - 2):
         neigh_a = adj[pa]
         # candidate b positions: after a, not adjacent to a
-        for pb in _iter_bits(~neigh_a & full & ~((1 << (pa + 1)) - 1)):
+        for pb in iter_bits(~neigh_a & full & ~((1 << (pa + 1)) - 1)):
             later_cs = neigh_a & ~((1 << (pb + 1)) - 1)
             if not later_cs:
                 continue
@@ -115,10 +108,10 @@ def satisfies_property(
             if not needs_c:
                 if witnesses:
                     continue
-                return False, triple(pa, pb, next(_iter_bits(later_cs)))
+                return False, triple(pa, pb, next(iter_bits(later_cs)))
             if not witnesses:
-                return False, triple(pa, pb, next(_iter_bits(later_cs)))
-            for pc in _iter_bits(later_cs):
+                return False, triple(pa, pb, next(iter_bits(later_cs)))
+            for pc in iter_bits(later_cs):
                 if not witnesses & ~adj[pc]:
                     return False, triple(pa, pb, pc)
     return True, None
@@ -165,7 +158,7 @@ def bfs_first_vertex_check(graph: Graph, sigma: Ordering) -> bool:
     neigh_mask = 0
     for u in graph.index_neighbors(first):
         neigh_mask |= 1 << pos_of[u]
-    for pc in _iter_bits(neigh_mask):
+    for pc in iter_bits(neigh_mask):
         between = ((1 << pc) - 1) & ~1  # positions 1..pc-1
         if between & ~neigh_mask:
             return False

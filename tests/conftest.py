@@ -5,7 +5,7 @@ import random
 
 from hypothesis import strategies as st
 
-from searchorder import Graph, Profile
+from searchorder import Graph, Profile, Tree
 
 NAMES = "abcdefgh"
 
@@ -50,6 +50,16 @@ def graphs(draw, min_n=1, max_n=6, connected=True):
 
 
 @st.composite
+def trees(draw, max_n=7):
+    """A random labeled tree: each vertex after the first hangs off an
+    earlier one, over a shuffled name order."""
+    n = draw(st.integers(1, max_n))
+    names = draw(st.permutations(list(NAMES[:n])))
+    edges = [(names[i], names[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    return Tree.build(NAMES[:n], edges)
+
+
+@st.composite
 def profiles(draw, min_n=3, max_n=6, max_rows=3):
     n = draw(st.integers(min_n, max_n))
     names = list(NAMES[:n])
@@ -72,3 +82,47 @@ def random_profiles(seed, count, sizes=(5, 6), rows=(2, 3, 4)):
             seen.add(tuple(rng.sample(names, n)))
         out.append(Profile.build(names, sorted(seen)))
     return out
+
+
+def planted_profiles(seed, n, k):
+    """A random recursive tree on n vertices, in a shuffled name order,
+    and two profiles over it: k random DFS runs and k random
+    generic-search runs. Both are YES instances by construction."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    adj = [[] for _ in range(n)]
+    for i in range(1, n):
+        j = rng.randrange(i)
+        adj[i].append(j)
+        adj[j].append(i)
+
+    def dfs_run():
+        start = rng.randrange(n)
+        row, seen, stack = [start], {start}, [start]
+        while stack:
+            fresh = [w for w in adj[stack[-1]] if w not in seen]
+            if not fresh:
+                stack.pop()
+                continue
+            w = rng.choice(fresh)
+            row.append(w)
+            seen.add(w)
+            stack.append(w)
+        return row
+
+    def gs_run():
+        start = rng.randrange(n)
+        row, seen, frontier = [start], {start}, set(adj[start])
+        while frontier:
+            w = rng.choice(sorted(frontier))
+            row.append(w)
+            seen.add(w)
+            frontier |= set(adj[w])
+            frontier -= seen
+        return row
+
+    def build(run):
+        return Profile.build(names, [[names[i] for i in run()] for _ in range(k)])
+
+    return build(dfs_run), build(gs_run)

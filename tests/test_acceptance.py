@@ -32,7 +32,6 @@ from searchorder import (
     recognize_dfs_tree,
     recognize_gs_tree,
     reduce,
-    sigma_over,
     validate_forward,
 )
 
@@ -89,7 +88,7 @@ def dfs_scan(profile_corpus):
             final_verify_hits += 1
         if out.is_yes:
             for sigma in profile:
-                if not is_s_ordering(out.tree, sigma_over(out.tree, sigma), Paradigm.DFS):
+                if not is_s_ordering(out.tree, sigma, Paradigm.DFS):
                     bad_witnesses.append((profile, sigma))
     return {
         "mismatches": mismatches,

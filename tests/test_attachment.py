@@ -90,8 +90,32 @@ def test_final_pair_arc_direction_is_a_convention():
 
 def test_forced_subtree_of_single_ordering():
     dg = build_attachment_digraph(SINGLE)
-    tstar = forced_subtree(SINGLE, dg)
+    tstar = forced_subtree(dg)
     assert sorted(tstar.edge_names()) == [("a", "b")]
+
+
+def arcs_by_blocker_sets(profile):
+    """The attachment arcs by the definition: peel the bottom vertex of
+    every ordering and join it to its common blockers, name by name."""
+    surviving = set(profile.universe.names)
+    arcs = set()
+    while len(surviving) >= 3:
+        peeled = {max(surviving, key=sigma.position) for sigma in profile}
+        for v in peeled:
+            common = frozenset.intersection(
+                *(blocker_set(sigma, surviving, v) for sigma in profile)
+            )
+            arcs.update((v, u) for u in common)
+        surviving -= peeled
+    if len(surviving) == 2:
+        arcs.add(tuple(sorted(surviving, key=profile.universe.index)))
+    return arcs
+
+
+@given(profiles(min_n=1, max_n=7, max_rows=4))
+@settings(max_examples=200, deadline=None)
+def test_mask_built_arcs_match_blocker_sets(profile):
+    assert set(build_attachment_digraph(profile).arc_names()) == arcs_by_blocker_sets(profile)
 
 
 @given(profiles(min_n=4, max_n=6))
@@ -105,7 +129,7 @@ def test_final_pair_direction_never_changes_the_content(profile):
 
     def sink_count(dg):
         tails = {u for u, _ in dg.arc_names()}
-        return sum(1 for v in dg.universe_names if v not in tails)
+        return sum(1 for v in dg.universe.names if v not in tails)
 
     assert undirected(plain) == undirected(flipped)
     assert sink_count(plain) == sink_count(flipped)

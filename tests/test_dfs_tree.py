@@ -1,28 +1,36 @@
 """Polynomial-time DFS tree-support recognition against frozen fixtures."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     DISCONNECTED_ATTACHMENT,
     EMPTY_Q,
     FINAL_VERIFY_FAILED,
+    FourPointProperty,
+    Ordering,
     Paradigm,
     Profile,
     RESTRICTION_FAILS,
     TSTAR_NOT_SUPPORT_FULL,
-    assign_parents,
     brute_force_tree_support,
     build_attachment_digraph,
+    certify_by_simulation,
     forced_subtree,
-    guider,
     is_s_ordering,
-    purify,
-    q_path,
     recognize_dfs_tree,
-    sigma_over,
+    recognize_gs_tree,
+    satisfies_property,
+)
+from searchorder.core import iter_bits
+from searchorder.dfs_tree import (
+    assign_parents,
+    candidate_sets,
+    is_tree_dfs_ordering,
+    purify,
 )
 
-from conftest import random_profiles
+from conftest import planted_profiles, random_profiles, trees
 
 YES_PATH = Profile.build("abcde", [("a", "b", "c", "d", "e"), ("c", "b", "a", "d", "e")])
 SHRINK = Profile.build("abcde", [("a", "b", "c", "d", "e"), ("a", "c", "e", "b", "d")])
@@ -65,7 +73,7 @@ def test_fixture_outcomes(profile, is_yes, reason):
     assert out.reason == reason
     if is_yes:
         for sigma in profile:
-            assert is_s_ordering(out.tree, sigma_over(out.tree, sigma), Paradigm.DFS)
+            assert is_s_ordering(out.tree, sigma, Paradigm.DFS)
     else:
         assert out.tree is None
 
@@ -75,30 +83,44 @@ def test_fixtures_agree_with_the_oracle(profile, is_yes, reason):
     assert brute_force_tree_support(profile, Paradigm.DFS).is_yes == is_yes
 
 
+def stage_values(profile):
+    """T*, the guiders of each ordering, and the candidate sets before
+    and after purification, by name, read through the stage functions."""
+    dg = build_attachment_digraph(profile)
+    tstar = forced_subtree(dg)
+    name = profile.universe.name
+
+    def names(q):
+        return {name(v): frozenset(map(name, iter_bits(m))) for v, m in q.items()}
+
+    q, guiders = candidate_sets([s.seq for s in profile], dg.forced_mask, tstar)
+    cleaned = purify(q, guiders, tstar)
+    return {
+        "tstar": tstar,
+        "guiders": [{name(v): name(w) for v, w in row.items()} for row in guiders],
+        "q": names(q),
+        "cleaned": names(cleaned),
+        "cleaned_masks": cleaned,
+    }
+
+
 def test_shrink_fixture_internals():
     dg = build_attachment_digraph(SHRINK)
     assert sorted(dg.forced_names()) == ["a", "b", "c"]
     assert sorted(dg.free_names()) == ["d", "e"]
-    tstar = forced_subtree(SHRINK, dg)
+    stages = stage_values(SHRINK)
+    tstar = stages["tstar"]
     assert sorted(tstar.edge_names()) == [("a", "b"), ("a", "c")]
 
-    first, second = SHRINK.orderings
-    forced = dg.forced_names()
-    assert guider(first, "d", forced) == "c"
-    assert guider(first, "e", forced) == "c"
-    assert guider(second, "d", forced) == "b"
-    assert guider(second, "e", forced) == "c"
+    first, second = stages["guiders"]
+    assert (first["d"], first["e"]) == ("c", "c")
+    assert (second["d"], second["e"]) == ("b", "c")
 
-    qmap = {
-        v: frozenset.intersection(*(q_path(sigma, v, tstar) for sigma in SHRINK))
-        for v in dg.free_names()
-    }
-    assert qmap == {"d": frozenset({"a"}), "e": frozenset({"a", "c"})}
+    assert stages["q"] == {"d": frozenset({"a"}), "e": frozenset({"a", "c"})}
     # d and e share the guider c in the first ordering, which pares e down
-    cleaned = purify(qmap, SHRINK, tstar)
-    assert cleaned == {"d": frozenset({"a"}), "e": frozenset({"a"})}
+    assert stages["cleaned"] == {"d": frozenset({"a"}), "e": frozenset({"a"})}
 
-    witness = assign_parents(tstar, cleaned, SHRINK.universe)
+    witness = assign_parents(tstar, stages["cleaned_masks"])
     assert sorted(witness.edge_names()) == [
         ("a", "b"),
         ("a", "c"),
@@ -111,37 +133,18 @@ def test_shrink_fixture_internals():
 
 
 def test_purification_can_empty_a_candidate_set():
-    dg = build_attachment_digraph(EMPTY_BY_PURIFICATION)
-    tstar = forced_subtree(EMPTY_BY_PURIFICATION, dg)
-    assert sorted(tstar.edge_names()) == [("a", "b"), ("a", "c"), ("c", "d")]
-    qmap = {
-        v: frozenset.intersection(
-            *(q_path(sigma, v, tstar) for sigma in EMPTY_BY_PURIFICATION)
-        )
-        for v in dg.free_names()
-    }
+    stages = stage_values(EMPTY_BY_PURIFICATION)
+    assert sorted(stages["tstar"].edge_names()) == [("a", "b"), ("a", "c"), ("c", "d")]
     # non-empty before the sweep, empty after: the recognizer must reach
     # the purification stage to reject this one
-    assert qmap == {"e": frozenset({"a"}), "f": frozenset({"c", "d"})}
-    cleaned = purify(qmap, EMPTY_BY_PURIFICATION, tstar)
-    assert cleaned == {"e": frozenset(), "f": frozenset()}
+    assert stages["q"] == {"e": frozenset({"a"}), "f": frozenset({"c", "d"})}
+    assert stages["cleaned"] == {"e": frozenset(), "f": frozenset()}
 
 
 def test_forest_fixture_really_has_a_forest_of_forced_vertices():
     dg = build_attachment_digraph(FOREST_TSTAR)
     induced = dg.underlying_graph().induced(dg.forced_names())
     assert induced.m < induced.n - 1  # forest with several components
-
-
-def test_sigma_over_rekeys_onto_equal_names():
-    out = recognize_dfs_tree(SHRINK)
-    sigma = SHRINK.orderings[0]
-    moved = sigma_over(out.tree, sigma)
-    assert moved.names == sigma.names
-    assert moved.universe == out.tree.universe
-    other = Profile.build("xyz", [("x", "y", "z")]).orderings[0]
-    with pytest.raises(KeyError):
-        sigma_over(out.tree, other)
 
 
 def test_recognizer_against_oracle_seeded():
@@ -152,7 +155,7 @@ def test_recognizer_against_oracle_seeded():
         final_verify_hits += out.reason == FINAL_VERIFY_FAILED
         if out.is_yes:
             for sigma in profile:
-                assert is_s_ordering(out.tree, sigma_over(out.tree, sigma), Paradigm.DFS)
+                assert is_s_ordering(out.tree, sigma, Paradigm.DFS)
     assert final_verify_hits == 0
 
 
@@ -166,3 +169,26 @@ def test_free_vertices_come_out_as_leaves():
                 seen_free += 1
                 assert out.tree.degree(v) == 1
     assert seen_free > 0  # the corpus really exercises the attachment step
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_planted_profiles_at_n200(k):
+    dfs_rows, gs_rows = planted_profiles(200 + k, 200, k)
+    for profile, recognize, paradigm in (
+        (dfs_rows, recognize_dfs_tree, Paradigm.DFS),
+        (dfs_rows, recognize_gs_tree, Paradigm.GS),
+        (gs_rows, recognize_gs_tree, Paradigm.GS),
+    ):
+        out = recognize(profile)
+        assert out.is_yes, (paradigm, out.reason)
+        for sigma in profile:
+            assert certify_by_simulation(out.tree, sigma, paradigm)
+
+
+@given(trees(max_n=7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_linear_tree_dfs_check_matches_four_point(tree, data):
+    seq = data.draw(st.permutations(range(tree.n)))
+    sigma = Ordering(tree.universe, tuple(seq))
+    expected, _ = satisfies_property(tree, sigma, FourPointProperty.D)
+    assert is_tree_dfs_ordering(tree, sigma.seq) == expected
