@@ -66,18 +66,8 @@ def _paradigm(name: str) -> Paradigm:
 
 
 @click.group()
-@click.option("--seed", type=int, default=1729, show_default=True,
-              help="Seed for randomized features (none of the current "
-                   "commands draw randomness; accepted for reproducible "
-                   "scripting).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Reserved; all commands currently run single-threaded.")
-@click.pass_context
-def main(ctx: click.Context, seed: int, threads: int) -> None:
+def main() -> None:
     """Graph-search orderings: verify, generate, enumerate, recognize."""
-    if threads < 1:
-        raise _fail("--threads must be at least 1")
-    ctx.obj = {"seed": seed, "threads": threads}
 
 
 @main.command()

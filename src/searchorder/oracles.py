@@ -1,11 +1,16 @@
 """Exact brute-force solvers, used as ground truth at small scale.
 
-Labeled trees are enumerated via Prüfer sequences (n^(n-2) of them, in
-lexicographic sequence order), candidate graphs for the bounded
-problems via edge subsets of increasing size. Candidate verification
-always goes through the step-by-step simulation checker, never the
-four-point shortcuts, so the oracles share no nontrivial code path
-with the polynomial recognizers they are meant to check.
+On a connected graph every paradigm's run is a generic-search run: each
+vertex after the first has an earlier neighbour. So a tree support lets
+row 1 grow connected, and the trees that do are the (n-1)! ways to hang
+each later vertex of row 1 off an earlier one; the tree oracles try only
+those. A bitmask check drops candidates on which another row does not
+grow connected, and a candidate is accepted only by replaying every row
+through the label simulation, never the four-point shortcuts or the
+attachment digraph, so the oracles share no nontrivial code path with
+the recognizers they check. Sorting by Prüfer code restores the order of
+`enumerate_tree_edge_sets`. The bounded problems try edge subsets of
+increasing size, with the same growth check before simulation.
 """
 
 from __future__ import annotations
@@ -89,31 +94,40 @@ def enumerate_labeled_trees(names: tuple[str, ...] | list[str]) -> Iterator[Tree
         yield Tree(uni, frozenset(edges))
 
 
-def _adj_from_edges(n: int, edges) -> list[frozenset[int]]:
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        sets[u].add(v)
-        sets[v].add(u)
-    return [frozenset(s) for s in sets]
+def _prufer_code(masks: list[int]) -> tuple[int, ...]:
+    """Prüfer sequence of the tree with these adjacency masks: remove the
+    smallest leaf n - 2 times, recording its neighbour each time."""
+    masks = list(masks)
+    code = []
+    for _ in range(len(masks) - 2):
+        leaf = next(v for v, m in enumerate(masks) if m and not m & (m - 1))
+        parent = masks[leaf].bit_length() - 1
+        code.append(parent)
+        masks[leaf] = 0
+        masks[parent] &= ~(1 << leaf)
+    return tuple(code)
 
 
-def _connected(adj: list[frozenset[int]]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _masks(n: int, pairs) -> list[int]:
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _grows_connected(masks: list[int], seq: tuple[int, ...]) -> bool:
+    """Whether every vertex of seq after the first has an earlier neighbour."""
+    seen = 0
+    for v in seq:
+        if seen and not masks[v] & seen:
+            return False
+        seen |= 1 << v
+    return True
 
 
 def _supports_all(
-    adj: list[frozenset[int]], seqs: list[tuple[int, ...]], paradigm: Paradigm
+    adj: tuple[frozenset[int], ...], seqs: list[tuple[int, ...]], paradigm: Paradigm
 ) -> bool:
     for seq in seqs:
         state = LabelState(adj, paradigm)
@@ -127,34 +141,42 @@ def _supports_all(
     return True
 
 
+def _tree_supports(profile: Profile, paradigm: Paradigm, cap: int) -> Iterator[Tree]:
+    """Every tree admitting the whole profile, lazily, in Prüfer order."""
+    n = profile.universe.n
+    if n > cap:
+        raise CapError(f"tree enumeration needs n <= {cap}, got n = {n}")
+    if n == 0:
+        raise ValueError("need at least one vertex")
+    seqs = [o.seq for o in profile.orderings]
+    first = seqs[0]
+    candidates = []
+    for parents in product(*(first[:i] for i in range(1, n))):
+        pairs = tuple(zip(first[1:], parents))
+        masks = _masks(n, pairs)
+        if all(_grows_connected(masks, seq) for seq in seqs[1:]):
+            candidates.append((_prufer_code(masks), pairs))
+    candidates.sort()
+    for _code, pairs in candidates:
+        tree = Tree.from_pairs(profile.universe, pairs)
+        if _supports_all(tree._adj, seqs, paradigm):
+            yield tree
+
+
 def brute_force_tree_support(
     profile: Profile, paradigm: Paradigm, cap: int = TREE_ENUMERATION_CAP
 ) -> OracleResult:
     """First tree (in Prüfer order) admitting every profile ordering,
-    or NO after exhausting all n^(n-2) of them."""
-    n = profile.universe.n
-    if n > cap:
-        raise CapError(f"tree enumeration needs n <= {cap}, got n = {n}")
-    seqs = [o.seq for o in profile.orderings]
-    for edges in enumerate_tree_edge_sets(n):
-        if _supports_all(_adj_from_edges(n, edges), seqs, paradigm):
-            return OracleResult(True, Tree(profile.universe, frozenset(edges)))
-    return OracleResult(False)
+    or NO after exhausting the candidates."""
+    witness = next(_tree_supports(profile, paradigm, cap), None)
+    return OracleResult(witness is not None, witness)
 
 
 def all_tree_supports(
     profile: Profile, paradigm: Paradigm, cap: int = TREE_ENUMERATION_CAP
 ) -> tuple[Tree, ...]:
     """Every tree admitting the whole profile, in Prüfer order."""
-    n = profile.universe.n
-    if n > cap:
-        raise CapError(f"tree enumeration needs n <= {cap}, got n = {n}")
-    seqs = [o.seq for o in profile.orderings]
-    return tuple(
-        Tree(profile.universe, frozenset(edges))
-        for edges in enumerate_tree_edge_sets(n)
-        if _supports_all(_adj_from_edges(n, edges), seqs, paradigm)
-    )
+    return tuple(_tree_supports(profile, paradigm, cap))
 
 
 def brute_force_graph_support(
@@ -169,7 +191,8 @@ def brute_force_graph_support(
     Only connected candidates count: a traversal visits every vertex,
     so a disconnected graph never replays a full ordering without an
     arbitrary restart, and allowing restarts would make the empty graph
-    a support of anything.
+    a support of anything. Every row growing connected implies it, and
+    that is the filter applied before simulation.
     """
     if isinstance(kind, TreeSupport):
         return brute_force_tree_support(profile, paradigm)
@@ -184,22 +207,14 @@ def brute_force_graph_support(
     max_size = len(all_edges) if isinstance(kind, DegBounded) else min(kind.k, len(all_edges))
     for size in range(max(0, n - 1), max_size + 1):
         for subset in combinations(all_edges, size):
-            if isinstance(kind, DegBounded):
-                degree = [0] * n
-                ok = True
-                for u, v in subset:
-                    degree[u] += 1
-                    degree[v] += 1
-                    if degree[u] > kind.k or degree[v] > kind.k:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            adj = _adj_from_edges(n, subset)
-            if not _connected(adj):
+            masks = _masks(n, subset)
+            if isinstance(kind, DegBounded) and any(m.bit_count() > kind.k for m in masks):
                 continue
-            if _supports_all(adj, seqs, paradigm):
-                return OracleResult(True, Graph(profile.universe, frozenset(subset)))
+            if not all(_grows_connected(masks, seq) for seq in seqs):
+                continue
+            graph = Graph(profile.universe, frozenset(subset))
+            if _supports_all(graph._adj, seqs, paradigm):
+                return OracleResult(True, graph)
     return OracleResult(False)
 
 

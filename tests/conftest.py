@@ -126,3 +126,21 @@ def planted_profiles(seed, n, k):
         return Profile.build(names, [[names[i] for i in run()] for _ in range(k)])
 
     return build(dfs_run), build(gs_run)
+
+
+def planted_tree_profiles(seed, count, paradigm, sizes=(4, 5, 6), rows=(1, 2, 3)):
+    """Profiles of distinct runs of the paradigm, each on its own random
+    labeled tree; YES instances by construction."""
+    from searchorder import enumerate_orderings
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.choice(sizes)
+        names = rng.sample(NAMES[:n], n)
+        edges = [(names[i], names[rng.randrange(i)]) for i in range(1, n)]
+        tree = Tree.build(NAMES[:n], edges)
+        runs = enumerate_orderings(tree, paradigm)
+        picked = {rng.choice(runs).names for _ in range(rng.choice(rows))}
+        out.append(Profile.build(tree.universe.names, sorted(picked)))
+    return out

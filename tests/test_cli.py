@@ -159,5 +159,3 @@ def test_usage_errors_exit_2(files, tmp_path):
                 "--ordering", "a b c"]) == 2
     assert run(["recognize", "--paradigm", "dfs-tree",
                 "--profile", files("bad.txt", "vertices: a b\na\n")]) == 2
-    assert run(["--threads", "0", "generate", "--paradigm", "bfs",
-                "--graph", files("g.txt", PATH3)]) == 2

@@ -1,0 +1,132 @@
+"""Recognizers against the brute-force oracles beyond the acceptance
+corpus: a seeded n = 7 differential and metamorphic invariants."""
+
+import random
+
+import pytest
+
+from searchorder import (
+    Paradigm,
+    Profile,
+    all_tree_supports,
+    brute_force_tree_support,
+    certify_by_simulation,
+    recognize_dfs_tree,
+    recognize_gs_tree,
+)
+
+from conftest import planted_profiles, planted_tree_profiles, random_profiles
+
+
+def _replays(tree, profile, paradigm):
+    return all(certify_by_simulation(tree, sigma, paradigm) for sigma in profile)
+
+
+def _n7_corpus():
+    corpus = random_profiles(7001, 40, sizes=(7,), rows=(1, 2, 3))
+    for seed in range(20):
+        corpus += planted_profiles(7100 + seed, 7, 1 + seed % 4)
+    corpus += planted_tree_profiles(7200, 20, Paradigm.GS, sizes=(7,), rows=(2, 3, 4))
+    return corpus
+
+
+def test_recognizers_match_the_oracles_at_n7():
+    yes = {"dfs": 0, "gs": 0}
+    for profile in _n7_corpus():
+        dfs = recognize_dfs_tree(profile)
+        oracle = brute_force_tree_support(profile, Paradigm.DFS)
+        assert dfs.is_yes == oracle.is_yes, profile
+        if dfs.is_yes:
+            assert _replays(dfs.tree, profile, Paradigm.DFS)
+            assert _replays(oracle.witness, profile, Paradigm.DFS)
+            yes["dfs"] += 1
+        gs = recognize_gs_tree(profile)
+        supports = all_tree_supports(profile, Paradigm.GS)
+        assert gs.is_yes == bool(supports), profile
+        if gs.is_yes:
+            assert _replays(gs.tree, profile, Paradigm.GS)
+            assert gs.tree in supports
+            yes["gs"] += 1
+    assert yes["dfs"] >= 20 and yes["gs"] >= 40, yes
+
+
+# ------------------------------------------------------------ metamorphic
+
+
+def _metamorphic_corpus():
+    corpus = random_profiles(6001, 30, sizes=(4, 5, 6), rows=(1, 2, 3))
+    for seed in range(10):
+        corpus += planted_profiles(6100 + seed, 6, 2 + seed % 3)
+    return corpus
+
+
+def _verdicts(profile):
+    dfs = recognize_dfs_tree(profile)
+    gs = recognize_gs_tree(profile)
+    return (
+        (dfs.is_yes, dfs.reason),
+        (gs.is_yes, gs.reason),
+        brute_force_tree_support(profile, Paradigm.DFS).is_yes,
+        bool(all_tree_supports(profile, Paradigm.GS)),
+    )
+
+
+def _relabelled(profile, rng):
+    """A random renaming of the vertices, and the profile under it."""
+    names = profile.universe.names
+    image = dict(zip(names, rng.sample(names, len(names))))
+    return image, Profile.build(names, [[image[v] for v in sigma.names] for sigma in profile])
+
+
+def _relabel(profile, rng):
+    return _relabelled(profile, rng)[1]
+
+
+def _permute_rows(profile, rng):
+    rows = [sigma.names for sigma in profile]
+    rng.shuffle(rows)
+    return Profile.build(profile.universe.names, rows)
+
+
+def _duplicate_a_row(profile, rng):
+    rows = [sigma.names for sigma in profile]
+    rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))
+    return Profile.build(profile.universe.names, rows)
+
+
+@pytest.mark.parametrize("change", [_relabel, _permute_rows, _duplicate_a_row])
+def test_verdicts_survive_metamorphic_changes(change):
+    rng = random.Random(change.__name__)
+    yes = 0
+    for profile in _metamorphic_corpus():
+        before = _verdicts(profile)
+        assert _verdicts(change(profile, rng)) == before, profile
+        yes += before[1][0]
+    assert yes >= 10
+
+
+def test_oracle_supports_ignore_row_order_and_duplicates():
+    # the candidates are grown from row 1, so which row comes first must
+    # not change the ordered support list
+    rng = random.Random(6200)
+    for profile in _metamorphic_corpus():
+        for paradigm in (Paradigm.DFS, Paradigm.BFS, Paradigm.MCS):
+            want = all_tree_supports(profile, paradigm)
+            assert all_tree_supports(_permute_rows(profile, rng), paradigm) == want
+            assert all_tree_supports(_duplicate_a_row(profile, rng), paradigm) == want
+
+
+def test_relabelled_supports_are_the_relabelled_trees():
+    rng = random.Random(6300)
+    for profile in _metamorphic_corpus()[::3]:
+        image, moved = _relabelled(profile, rng)
+        for paradigm in (Paradigm.GS, Paradigm.LEXBFS):
+            want = {
+                frozenset(frozenset(image[v] for v in e) for e in t.edge_names())
+                for t in all_tree_supports(profile, paradigm)
+            }
+            got = {
+                frozenset(frozenset(e) for e in t.edge_names())
+                for t in all_tree_supports(moved, paradigm)
+            }
+            assert got == want, profile

@@ -15,12 +15,14 @@ from searchorder import (
     all_tree_supports,
     brute_force_graph_support,
     brute_force_tree_support,
+    certify_by_simulation,
     enumerate_labeled_trees,
     is_s_ordering,
     min_vertex_cover,
 )
+from searchorder.oracles import _masks, _prufer_code, _prufer_edges
 
-from conftest import k4, random_profiles
+from conftest import k4, planted_tree_profiles, random_profiles
 
 SINGLE = Profile.build("abc", [("a", "b", "c")])
 PAIR = Profile.build("abc", [("a", "b", "c"), ("a", "c", "b")])
@@ -56,6 +58,38 @@ def test_all_tree_supports_for_one_ordering():
         frozenset({("a", "b"), ("a", "c")}),
         frozenset({("a", "b"), ("b", "c")}),
     }
+
+
+def reference_supports(profile, paradigm):
+    """Every labeled tree, in Prüfer order, that replays every row."""
+    return tuple(
+        tree
+        for tree in enumerate_labeled_trees(profile.universe.names)
+        if all(certify_by_simulation(tree, sigma, paradigm) for sigma in profile)
+    )
+
+
+@pytest.mark.parametrize("paradigm", list(Paradigm))
+def test_row_rooted_oracles_match_the_exhaustive_reference(paradigm):
+    seed = list(Paradigm).index(paradigm)
+    corpus = random_profiles(700 + seed, 12, sizes=(2, 3, 4, 5, 6), rows=(1, 2))
+    corpus += planted_tree_profiles(710 + seed, 12, paradigm, sizes=(2, 3, 4, 5, 6))
+    hits = 0
+    for profile in corpus:
+        want = reference_supports(profile, paradigm)
+        assert all_tree_supports(profile, paradigm) == want, profile
+        result = brute_force_tree_support(profile, paradigm)
+        assert result.is_yes == bool(want), profile
+        assert result.witness == (want[0] if want else None), profile
+        hits += bool(want)
+    assert hits >= 12
+
+
+def test_prufer_code_inverts_the_decoder():
+    for n in range(1, 7):
+        for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
+            edges = _prufer_edges(seq, n) if n > 1 else []
+            assert _prufer_code(_masks(n, edges)) == seq
 
 
 # -------------------------------------------------------- bounded problems
