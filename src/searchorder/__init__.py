@@ -24,7 +24,6 @@ from .core import (
     parse_bounded_profile,
     parse_graph,
     parse_profile,
-    tree_path,
     universe_of,
 )
 from .traversals import (
@@ -34,7 +33,6 @@ from .traversals import (
     complete_prefix,
     enumerate_orderings,
     generate_ordering,
-    is_partial_ordering,
     step_candidates,
 )
 from .verifiers import (
@@ -42,6 +40,7 @@ from .verifiers import (
     FourPointProperty,
     bfs_first_vertex_check,
     certify_by_simulation,
+    is_partial_ordering,
     is_s_ordering,
     satisfies_property,
 )
@@ -87,12 +86,12 @@ __all__ = [
     "CapError", "FormatError", "Graph", "NotATreeError", "Ordering", "Profile", "Tree",
     "Universe", "emit_graph", "emit_profile", "ordering_delete", "ordering_prefix",
     "ordering_up_to", "parse_bounded_profile", "parse_graph", "parse_profile",
-    "tree_path", "universe_of",
+    "universe_of",
     "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",
-    "enumerate_orderings", "generate_ordering", "is_partial_ordering",
-    "step_candidates",
+    "enumerate_orderings", "generate_ordering", "step_candidates",
     "PARADIGM_PROPERTY", "FourPointProperty", "bfs_first_vertex_check",
-    "certify_by_simulation", "is_s_ordering", "satisfies_property",
+    "certify_by_simulation", "is_partial_ordering", "is_s_ordering",
+    "satisfies_property",
     "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
     "RecognitionOutcome", "blocker_set", "build_attachment_digraph",
     "enumerate_gs_tree_supports", "forced_subtree", "recognize_gs_tree",

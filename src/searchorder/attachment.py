@@ -77,11 +77,6 @@ class AttachmentDigraph:
     out_masks: tuple[int, ...]
     final_pair_arc: tuple[str, str] | None
 
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        """Out-neighbors of v, in universe order."""
-        name = self.universe.name
-        return tuple(name(u) for u in iter_bits(self.out_masks[self.universe.index(v)]))
-
     @cached_property
     def forced_mask(self) -> int:
         mask = 0

@@ -90,9 +90,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """A finite simple undirected graph over a vertex universe.
 
-    Edges are stored as index pairs (u, v) with u < v. Adjacency is also
-    exposed as per-vertex bitmasks (bit i set = adjacent to index i),
-    which the ordering verifiers rely on.
+    Edges are stored as index pairs (u, v) with u < v; per-vertex
+    neighbor index sets are built from them on first use.
     """
 
     universe: Universe
@@ -136,19 +135,8 @@ class Graph:
             sets[v].add(u)
         return tuple(frozenset(s) for s in sets)
 
-    @cached_property
-    def _adj_mask(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
     def index_neighbors(self, i: int) -> frozenset[int]:
         return self._adj[i]
-
-    def adjacency_mask(self, i: int) -> int:
-        return self._adj_mask[i]
 
     def neighbors(self, name: str) -> tuple[str, ...]:
         i = self.universe.index(name)
@@ -231,56 +219,6 @@ class Tree(Graph):
     @classmethod
     def from_graph(cls, g: Graph) -> Tree:
         return cls(g.universe, g.edges)
-
-    def parents(self, root: str) -> dict[str, str]:
-        """Parent map of the tree rooted at `root` (root is absent)."""
-        r = self.universe.index(root)
-        parent: dict[int, int] = {}
-        order = [r]
-        seen = {r}
-        for u in order:
-            for w in sorted(self._adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = u
-                    order.append(w)
-        name = self.universe.name
-        return {name(c): name(p) for c, p in parent.items()}
-
-    def distances(self, root: str) -> dict[str, int]:
-        r = self.universe.index(root)
-        dist = {r: 0}
-        order = [r]
-        for u in order:
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    order.append(w)
-        return {self.universe.name(i): d for i, d in dist.items()}
-
-
-def tree_path(tree: Tree, u: str, v: str) -> tuple[str, ...]:
-    """The unique u–v path in the tree, inclusive of both endpoints."""
-    src = tree.universe.index(u)
-    dst = tree.universe.index(v)
-    if src == dst:
-        return (u,)
-    parent: dict[int, int] = {src: src}
-    frontier = [src]
-    while frontier and dst not in parent:
-        nxt = []
-        for a in frontier:
-            for b in tree.index_neighbors(a):
-                if b not in parent:
-                    parent[b] = a
-                    nxt.append(b)
-        frontier = nxt
-    if dst not in parent:
-        raise ValueError(f"no path between {u!r} and {v!r}")
-    rev = [dst]
-    while rev[-1] != src:
-        rev.append(parent[rev[-1]])
-    return tuple(tree.universe.name(i) for i in reversed(rev))
 
 
 @dataclass(frozen=True)

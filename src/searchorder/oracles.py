@@ -5,12 +5,13 @@ vertex after the first has an earlier neighbour. So a tree support lets
 row 1 grow connected, and the trees that do are the (n-1)! ways to hang
 each later vertex of row 1 off an earlier one; the tree oracles try only
 those. A bitmask check drops candidates on which another row does not
-grow connected, and a candidate is accepted only by replaying every row
-through the label simulation, never the four-point shortcuts or the
-attachment digraph, so the oracles share no nontrivial code path with
-the recognizers they check. Sorting by Prüfer code restores the order of
-`enumerate_tree_edge_sets`. The bounded problems try edge subsets of
-increasing size, with the same growth check before simulation.
+grow connected, and a candidate is accepted only when
+`certify_by_simulation` replays every row through the label simulation,
+never the four-point shortcuts or the attachment digraph, so the oracles
+share no nontrivial code path with the recognizers they check. Sorting
+by Prüfer code restores the order of `enumerate_tree_edge_sets`. The
+bounded problems try edge subsets of increasing size, with the same
+growth check before simulation.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Union
 
-from .core import CapError, Graph, Profile, Tree
-from .traversals import LabelState, Paradigm
+from .core import CapError, Graph, Profile, Tree, universe_of
+from .traversals import Paradigm
+from .verifiers import certify_by_simulation
 
 TREE_ENUMERATION_CAP = 8
 EDGE_SEARCH_CAP = 5
@@ -87,8 +89,6 @@ def enumerate_tree_edge_sets(n: int) -> Iterator[list[tuple[int, int]]]:
 
 
 def enumerate_labeled_trees(names: tuple[str, ...] | list[str]) -> Iterator[Tree]:
-    from .core import universe_of
-
     uni = universe_of(names)
     for edges in enumerate_tree_edge_sets(uni.n):
         yield Tree(uni, frozenset(edges))
@@ -126,21 +126,6 @@ def _grows_connected(masks: list[int], seq: tuple[int, ...]) -> bool:
     return True
 
 
-def _supports_all(
-    adj: tuple[frozenset[int], ...], seqs: list[tuple[int, ...]], paradigm: Paradigm
-) -> bool:
-    for seq in seqs:
-        state = LabelState(adj, paradigm)
-        for v in seq:
-            if not state.is_candidate(v):
-                break
-            state.advance(v)
-        else:
-            continue
-        return False
-    return True
-
-
 def _tree_supports(profile: Profile, paradigm: Paradigm, cap: int) -> Iterator[Tree]:
     """Every tree admitting the whole profile, lazily, in Prüfer order."""
     n = profile.universe.n
@@ -159,7 +144,7 @@ def _tree_supports(profile: Profile, paradigm: Paradigm, cap: int) -> Iterator[T
     candidates.sort()
     for _code, pairs in candidates:
         tree = Tree.from_pairs(profile.universe, pairs)
-        if _supports_all(tree._adj, seqs, paradigm):
+        if all(certify_by_simulation(tree, o, paradigm) for o in profile.orderings):
             yield tree
 
 
@@ -213,7 +198,7 @@ def brute_force_graph_support(
             if not all(_grows_connected(masks, seq) for seq in seqs):
                 continue
             graph = Graph(profile.universe, frozenset(subset))
-            if _supports_all(graph._adj, seqs, paradigm):
+            if all(certify_by_simulation(graph, o, paradigm) for o in profile.orderings):
                 return OracleResult(True, graph)
     return OracleResult(False)
 

@@ -2,31 +2,35 @@
 
 Seven paradigms are supported: generic search (GS), BFS, DFS, their
 lexicographic variants, maximum cardinality search (MCS) and maximal
-neighborhood search (MNS). A run repeatedly visits an eligible vertex
-and updates labels of unvisited neighbors; which labels and which
-selection rule apply depends on the paradigm:
+neighborhood search (MNS). Following Corneil and Krueger's unified view
+of graph searching, a run repeatedly visits an eligible vertex and
+updates the labels of its unvisited neighbors. Only the label and its
+update depend on the paradigm:
 
-    BFS     integer labels, label(u) <- max(label(u), n - i); largest wins
-    DFS     integer labels, label(u) <- i; largest wins
-    LexBFS  sequence labels, append n - i; lexicographically largest wins
-    LexDFS  sequence labels, prepend i; lexicographically largest wins
-    MCS     integer labels, label(u) <- label(u) + 1; largest wins
-    MNS     set labels, label(u) <- label(u) ∪ {i}; inclusion-maximal wins
-    GS      next vertex must have a visited neighbor; if no unvisited
-            vertex has one (e.g. the empty prefix), all are eligible
+    GS      flag, label(u) <- True ("has a visited neighbor")
+    BFS     integer, label(u) <- max(label(u), n - i)
+    DFS     integer, label(u) <- i
+    LexBFS  sequence, append n - i
+    LexDFS  sequence, prepend i
+    MCS     integer, label(u) <- label(u) + 1
+    MNS     set, label(u) <- label(u) ∪ {i}
 
 Here i is the 1-based step at which the neighbor's owner was visited.
-The searches are nondeterministic; `enumerate_orderings` branches over
-every eligible vertex, while `generate_ordering` breaks ties by lowest
-universe index.
+One selection rule serves all seven: an unvisited vertex is eligible
+iff no unvisited vertex has a strictly greater label, where flags,
+integers and sequences compare in their usual total orders (so for GS
+the flagged vertices win, and with none flagged all tie) and sets by
+inclusion. The searches are nondeterministic; `enumerate_orderings`
+branches over every eligible vertex, while `generate_ordering` breaks
+ties by lowest universe index.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import CapError, Graph, Ordering, universe_of
+from .core import CapError, Graph, Ordering
 
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -52,33 +56,37 @@ class Paradigm(Enum):
         return self.value
 
 
-_INT_LABELLED = (Paradigm.BFS, Paradigm.DFS, Paradigm.MCS)
-_SEQ_LABELLED = (Paradigm.LEXBFS, Paradigm.LEXDFS)
+# paradigm -> (initial label, update(label, i, n)): the table above as code
+_RULES = {
+    Paradigm.GS: (False, lambda label, i, n: True),
+    Paradigm.BFS: (0, lambda label, i, n: max(label, n - i)),
+    Paradigm.DFS: (0, lambda label, i, n: i),
+    Paradigm.LEXBFS: ((), lambda label, i, n: label + (n - i,)),
+    Paradigm.LEXDFS: ((), lambda label, i, n: (i,) + label),
+    Paradigm.MCS: (0, lambda label, i, n: label + 1),
+    Paradigm.MNS: (frozenset(), lambda label, i, n: label | {i}),
+}
 
 
 class LabelState:
-    """Mutable per-run label store; labels of visited vertices are never read."""
+    """Mutable per-run label store. A visited vertex holds the initial
+    label, which no label is below, so it never outranks an unvisited one."""
 
-    __slots__ = ("paradigm", "n", "adj", "labels", "visited", "step")
+    __slots__ = ("paradigm", "rule", "n", "adj", "labels", "visited", "step")
 
     def __init__(self, adj: Sequence[frozenset[int]], paradigm: Paradigm):
         self.paradigm = paradigm
+        self.rule = _RULES[paradigm]
         self.n = len(adj)
         self.adj = adj
+        self.labels: list = [self.rule[0]] * self.n
         self.visited: set[int] = set()
         self.step = 0
-        if paradigm in _INT_LABELLED:
-            self.labels: list = [0] * self.n
-        elif paradigm in _SEQ_LABELLED:
-            self.labels = [()] * self.n
-        elif paradigm is Paradigm.MNS:
-            self.labels = [frozenset()] * self.n
-        else:  # GS carries no labels; track who has a visited neighbor
-            self.labels = [False] * self.n
 
     def copy(self) -> "LabelState":
         dup = object.__new__(LabelState)
         dup.paradigm = self.paradigm
+        dup.rule = self.rule
         dup.n = self.n
         dup.adj = self.adj
         dup.labels = list(self.labels)
@@ -92,69 +100,29 @@ class LabelState:
             raise ValueError(f"vertex index {v} already visited")
         self.visited.add(v)
         self.step += 1
-        i = self.step
-        paradigm = self.paradigm
-        labels = self.labels
+        i, n, visited, labels = self.step, self.n, self.visited, self.labels
+        initial, update = self.rule
+        labels[v] = initial
         for u in self.adj[v]:
-            if u in self.visited:
-                continue
-            if paradigm is Paradigm.BFS:
-                labels[u] = max(labels[u], self.n - i)
-            elif paradigm is Paradigm.DFS:
-                labels[u] = i
-            elif paradigm is Paradigm.LEXBFS:
-                labels[u] = labels[u] + (self.n - i,)
-            elif paradigm is Paradigm.LEXDFS:
-                labels[u] = (i,) + labels[u]
-            elif paradigm is Paradigm.MCS:
-                labels[u] = labels[u] + 1
-            elif paradigm is Paradigm.MNS:
-                labels[u] = labels[u] | {i}
-            else:
-                labels[u] = True
-
-    def _unvisited(self) -> list[int]:
-        return [u for u in range(self.n) if u not in self.visited]
+            if u not in visited:
+                labels[u] = update(labels[u], i, n)
 
     def candidates(self) -> list[int]:
         """All vertices a valid run could visit next, ascending by index."""
-        unvisited = self._unvisited()
+        unvisited = [u for u in range(self.n) if u not in self.visited]
         if not unvisited:
             return []
-        paradigm = self.paradigm
         labels = self.labels
-        if paradigm is Paradigm.GS:
-            eligible = [u for u in unvisited if labels[u]]
-            return eligible or unvisited
-        if paradigm is Paradigm.MNS:
-            return [
-                u
-                for u in unvisited
-                if not any(labels[u] < labels[w] for w in unvisited)
-            ]
-        best = max(labels[u] for u in unvisited)
+        if self.paradigm is Paradigm.MNS:  # inclusion is only a partial order
+            return [u for u in unvisited if self.is_candidate(u)]
+        best = max(labels)
         return [u for u in unvisited if labels[u] == best]
 
     def is_candidate(self, v: int) -> bool:
+        """Whether v is unvisited and no unvisited label is strictly greater."""
         if v in self.visited:
             return False
-        paradigm = self.paradigm
-        labels = self.labels
-        if paradigm is Paradigm.GS:
-            return bool(labels[v]) or not any(
-                labels[u] for u in range(self.n) if u not in self.visited
-            )
-        if paradigm is Paradigm.MNS:
-            lv = labels[v]
-            return not any(
-                lv < labels[u] for u in range(self.n) if u not in self.visited
-            )
-        lv = labels[v]
-        return all(labels[u] <= lv for u in range(self.n) if u not in self.visited)
-
-
-def _fresh_state(graph: Graph, paradigm: Paradigm) -> LabelState:
-    return LabelState(graph._adj, paradigm)
+        return not any(map(self.labels[v].__lt__, self.labels))
 
 
 def step_candidates(
@@ -165,7 +133,7 @@ def step_candidates(
     The prefix is replayed label-by-label; it does not itself have to be
     a valid partial run of the paradigm.
     """
-    state = _fresh_state(graph, paradigm)
+    state = LabelState(graph._adj, paradigm)
     seen = set()
     for name in visited:
         i = graph.universe.index(name)
@@ -179,19 +147,12 @@ def step_candidates(
 def generate_ordering(
     graph: Graph, paradigm: Paradigm, start: str | None = None
 ) -> Ordering:
-    """One deterministic full run; ties break to the lowest universe index."""
-    state = _fresh_state(graph, paradigm)
-    seq: list[int] = []
-    if start is not None:
-        first = graph.universe.index(start)
-        # every vertex is eligible at step 1 (all labels equal)
-        state.advance(first)
-        seq.append(first)
-    while len(seq) < graph.n:
-        v = state.candidates()[0]
-        state.advance(v)
-        seq.append(v)
-    return Ordering(graph.universe, tuple(seq))
+    """One deterministic full run; ties break to the lowest universe index.
+
+    Every vertex is eligible at step 1 (all labels are equal), so a given
+    start is a one-vertex prefix, which `complete_prefix` replays as is.
+    """
+    return complete_prefix(graph, [] if start is None else [start], paradigm)
 
 
 def enumerate_orderings(
@@ -217,7 +178,7 @@ def enumerate_orderings(
             rec(nxt)
             prefix.pop()
 
-    rec(_fresh_state(graph, paradigm))
+    rec(LabelState(graph._adj, paradigm))
     return tuple(out)
 
 
@@ -234,7 +195,7 @@ def complete_prefix(
     """
     names = list(prefix.names if isinstance(prefix, Ordering) else prefix)
     star = graph.with_clique(names) if len(names) > 1 else graph
-    state = _fresh_state(star, paradigm)
+    state = LabelState(star._adj, paradigm)
     seq: list[int] = []
     for name in names:
         i = star.universe.index(name)
@@ -245,13 +206,3 @@ def complete_prefix(
         state.advance(v)
         seq.append(v)
     return Ordering(graph.universe, tuple(seq))
-
-
-def is_partial_ordering(
-    graph: Graph, prefix: Sequence[str] | Ordering, paradigm: Paradigm
-) -> bool:
-    """Whether the prefix extends to a full ordering of the paradigm."""
-    from .verifiers import is_s_ordering  # deferred: verifiers imports this module
-
-    completed = complete_prefix(graph, prefix, paradigm)
-    return is_s_ordering(graph, completed, paradigm)

@@ -19,15 +19,18 @@ and is always checked by simulation.
 
 `certify_by_simulation` replays the ordering step by step against the
 label semantics and is the ground truth for all seven paradigms; the
-four-point checks are the fast path.
+four-point checks are the fast path. `is_partial_ordering` decides
+whether a prefix extends to a full ordering by completing it greedily
+and verifying the result.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 from .core import Graph, Ordering, iter_bits
-from .traversals import LabelState, Paradigm
+from .traversals import LabelState, Paradigm, complete_prefix
 
 
 class FourPointProperty(Enum):
@@ -46,10 +49,6 @@ PARADIGM_PROPERTY: dict[Paradigm, FourPointProperty] = {
     Paradigm.LEXBFS: FourPointProperty.LB,
     Paradigm.LEXDFS: FourPointProperty.LD,
     Paradigm.MNS: FourPointProperty.M,
-}
-
-PROPERTY_PARADIGM: dict[FourPointProperty, Paradigm] = {
-    prop: paradigm for paradigm, prop in PARADIGM_PROPERTY.items()
 }
 
 # witness scope is relative to positions of a and b; the *_C properties
@@ -140,6 +139,14 @@ def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> 
             return False
         state.advance(v)
     return True
+
+
+def is_partial_ordering(
+    graph: Graph, prefix: Sequence[str] | Ordering, paradigm: Paradigm
+) -> bool:
+    """Whether the prefix extends to a full ordering of the paradigm."""
+    completed = complete_prefix(graph, prefix, paradigm)
+    return is_s_ordering(graph, completed, paradigm)
 
 
 def bfs_first_vertex_check(graph: Graph, sigma: Ordering) -> bool:

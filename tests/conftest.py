@@ -1,6 +1,7 @@
 """Shared corpora and hypothesis strategies for the test suite."""
 
 import itertools
+import math
 import random
 
 from hypothesis import strategies as st
@@ -71,6 +72,8 @@ def profiles(draw, min_n=3, max_n=6, max_rows=3):
 
 def random_profiles(seed, count, sizes=(5, 6), rows=(2, 3, 4)):
     """Deterministic profile corpus: distinct uniform permutations."""
+    if max(rows) > math.factorial(min(sizes)):
+        raise ValueError(f"{max(rows)} distinct rows need more than {min(sizes)} vertices")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

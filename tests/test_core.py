@@ -19,7 +19,6 @@ from searchorder import (
     parse_bounded_profile,
     parse_graph,
     parse_profile,
-    tree_path,
     universe_of,
 )
 
@@ -106,19 +105,6 @@ def test_tree_rejects_cycles_and_forests():
         Tree.build("abcd", [("a", "b"), ("c", "d")])
     with pytest.raises(NotATreeError):
         Tree.from_graph(c4())
-
-
-def test_tree_parents_and_distances():
-    t = Tree.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    assert t.parents("a") == {"b": "a", "c": "b", "d": "c"}
-    assert t.distances("b") == {"b": 0, "a": 1, "c": 1, "d": 2}
-
-
-def test_tree_path_endpoints_and_interior():
-    t = Tree.build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    assert tree_path(t, "a", "d") == ("a", "b", "c", "d")
-    assert tree_path(t, "d", "a") == ("d", "c", "b", "a")
-    assert tree_path(t, "b", "b") == ("b",)
 
 
 # ---------------------------------------------------------------- ordering

@@ -1,6 +1,7 @@
 """Generation, enumeration and prefix handling for the seven paradigms."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from searchorder import (
     CapError,
     Graph,
+    LabelState,
     Paradigm,
     complete_prefix,
     enumerate_orderings,
@@ -111,6 +113,67 @@ def test_partial_ordering_pins():
     assert is_partial_ordering(PATH3, ("b", "c"), Paradigm.BFS)
     assert is_partial_ordering(PATH3, (), Paradigm.BFS)
     assert is_partial_ordering(PATH3, ("a", "b", "c"), Paradigm.DFS)
+
+
+# ---------------------------------------------------------- label reference
+#
+# labels recomputed from scratch at every step, following the table in the
+# traversals module docstring, from the steps at which each unvisited
+# vertex's visited neighbors were visited
+
+
+def _reference_label(paradigm, steps, n):
+    """Label of an unvisited vertex whose neighbors were visited at the
+    given steps, in ascending order."""
+    if paradigm is Paradigm.GS:
+        return bool(steps)
+    if paradigm is Paradigm.BFS:
+        return n - steps[0] if steps else 0
+    if paradigm is Paradigm.DFS:
+        return steps[-1] if steps else 0
+    if paradigm is Paradigm.LEXBFS:
+        return tuple(n - i for i in steps)
+    if paradigm is Paradigm.LEXDFS:
+        return tuple(reversed(steps))
+    if paradigm is Paradigm.MCS:
+        return len(steps)
+    return frozenset(steps)
+
+
+def _reference_candidates(g, prefix, paradigm):
+    step_of = {v: i for i, v in enumerate(prefix, 1)}
+    unvisited = [u for u in range(g.n) if u not in step_of]
+    label = {
+        u: _reference_label(
+            paradigm, sorted(step_of[w] for w in g.index_neighbors(u) if w in step_of), g.n
+        )
+        for u in unvisited
+    }
+    if paradigm is Paradigm.GS:  # a visited neighbor is required, if any has one
+        return [u for u in unvisited if label[u]] or unvisited
+    if paradigm is Paradigm.MNS:  # inclusion-maximal
+        return [u for u in unvisited if not any(label[u] < label[w] for w in unvisited)]
+    best = max(label.values(), default=None)
+    return [u for u in unvisited if label[u] == best]
+
+
+def test_candidates_match_labels_recomputed_from_scratch():
+    # every prefix of random permutations, valid runs or not
+    rng = random.Random(4242)
+    corpus = rng.sample(list(all_connected_graphs(5)), 150)
+    for g in corpus:
+        adj = tuple(g.index_neighbors(i) for i in range(g.n))
+        for _ in range(4):
+            perm = rng.sample(range(g.n), g.n)
+            for paradigm in Paradigm:
+                state = LabelState(adj, paradigm)
+                for k in range(g.n + 1):
+                    want = _reference_candidates(g, perm[:k], paradigm)
+                    where = (g.edge_names(), perm[:k], paradigm)
+                    assert state.candidates() == want, where
+                    assert [v for v in range(g.n) if state.is_candidate(v)] == want, where
+                    if k < g.n:
+                        state.advance(perm[k])
 
 
 # --------------------------------------------------- paradigm separations
