@@ -1,27 +1,22 @@
 """Command-line interface.
 
-Exit codes follow a uniform convention: 0 for YES/success, 1 for a NO
-answer, 2 for usage or input errors.
+Exit codes: 0 for YES/success, 1 for a NO answer, 2 for usage or input
+errors. `run` is the only entry point (of the `searchorder` script and
+of `python -m searchorder`) and the only place where an error becomes
+exit code 2: the commands call the library directly, and what it raises
+on bad input is printed as `error: <message>`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import click
 
 from . import attachment as attachment_mod
 from . import dfs_tree, oracles, reductions
-from .core import (
-    CapError,
-    FormatError,
-    Graph,
-    Ordering,
-    Profile,
-    parse_bounded_profile,
-    parse_graph,
-)
+from .core import CapError, FormatError, Ordering, parse_bounded_profile, parse_graph
 from .traversals import (
     DEFAULT_ENUMERATION_CAP,
     Paradigm,
@@ -32,37 +27,16 @@ from .verifiers import PARADIGM_PROPERTY, certify_by_simulation, satisfies_prope
 
 _PARADIGM_CHOICES = [p.value for p in Paradigm]
 
-
-def _fail(message: str) -> "click.UsageError":
-    return click.UsageError(message)
+_T = TypeVar("_T")
 
 
-def _read_text(path: str) -> str:
+def _parse(path: str, parser: Callable[[str], _T]) -> _T:
+    """Parse a file, naming it in any format error."""
+    text = Path(path).read_text()
     try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> Graph:
-    try:
-        return parse_graph(_read_text(path))
+        return parser(text)
     except FormatError as exc:
-        raise _fail(f"{path}: {exc}") from exc
-
-
-def _load_profile(path: str) -> tuple[Profile, int | None]:
-    try:
-        return parse_bounded_profile(_read_text(path))
-    except FormatError as exc:
-        raise _fail(f"{path}: {exc}") from exc
-
-
-def _paradigm(name: str) -> Paradigm:
-    try:
-        return Paradigm.from_name(name)
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise FormatError(f"{path}: {exc}") from None
 
 
 @click.group()
@@ -75,17 +49,13 @@ def main() -> None:
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 @click.option("--ordering", required=True,
               help="Space-separated vertex names, leftmost visited first.")
-@click.pass_context
-def verify(ctx: click.Context, paradigm: str, graph_path: str, ordering: str) -> None:
+def verify(paradigm: str, graph_path: str, ordering: str) -> int:
     """Check whether an ordering is a valid search ordering."""
-    para = _paradigm(paradigm)
-    graph = _load_graph(graph_path)
-    try:
-        sigma = Ordering.from_names(graph.universe, ordering.split())
-    except (KeyError, ValueError) as exc:
-        raise _fail(str(exc)) from exc
+    para = Paradigm(paradigm)
+    graph = _parse(graph_path, parse_graph)
+    sigma = Ordering.from_names(graph.universe, ordering.split())
     if not sigma.is_complete:
-        raise _fail("ordering must list every vertex exactly once")
+        raise ValueError("ordering must list every vertex exactly once")
     if para is Paradigm.MCS:
         ok = certify_by_simulation(graph, sigma, para)
         violation = None
@@ -93,11 +63,11 @@ def verify(ctx: click.Context, paradigm: str, graph_path: str, ordering: str) ->
         ok, violation = satisfies_property(graph, sigma, PARADIGM_PROPERTY[para])
     if ok:
         click.echo("YES")
-    else:
-        click.echo("NO")
-        if violation is not None:
-            click.echo("violating triple: " + " ".join(violation))
-        ctx.exit(1)
+        return 0
+    click.echo("NO")
+    if violation is not None:
+        click.echo("violating triple: " + " ".join(violation))
+    return 1
 
 
 @main.command()
@@ -106,11 +76,8 @@ def verify(ctx: click.Context, paradigm: str, graph_path: str, ordering: str) ->
 @click.option("--start", default=None, help="Vertex to visit first.")
 def generate(paradigm: str, graph_path: str, start: str | None) -> None:
     """Produce one deterministic search ordering."""
-    graph = _load_graph(graph_path)
-    try:
-        sigma = generate_ordering(graph, _paradigm(paradigm), start=start)
-    except KeyError as exc:
-        raise _fail(str(exc)) from exc
+    graph = _parse(graph_path, parse_graph)
+    sigma = generate_ordering(graph, Paradigm(paradigm), start=start)
     click.echo(" ".join(sigma.names))
 
 
@@ -121,12 +88,8 @@ def generate(paradigm: str, graph_path: str, start: str | None) -> None:
               help="Refuse graphs with more vertices than this.")
 def enumerate_cmd(paradigm: str, graph_path: str, cap: int) -> None:
     """List every ordering the paradigm can produce, one per line."""
-    graph = _load_graph(graph_path)
-    try:
-        orderings = enumerate_orderings(graph, _paradigm(paradigm), cap=cap)
-    except CapError as exc:
-        raise _fail(str(exc)) from exc
-    for sigma in orderings:
+    graph = _parse(graph_path, parse_graph)
+    for sigma in enumerate_orderings(graph, Paradigm(paradigm), cap=cap):
         click.echo(" ".join(sigma.names))
 
 
@@ -134,21 +97,20 @@ def enumerate_cmd(paradigm: str, graph_path: str, cap: int) -> None:
 @click.option("--paradigm", required=True,
               type=click.Choice(["dfs-tree", "gs-tree"]))
 @click.option("--profile", "profile_path", required=True, type=click.Path())
-@click.pass_context
-def recognize(ctx: click.Context, paradigm: str, profile_path: str) -> None:
+def recognize(paradigm: str, profile_path: str) -> int:
     """Decide tree-support existence; print a witness tree on YES."""
-    profile, _ = _load_profile(profile_path)
+    profile, _ = _parse(profile_path, parse_bounded_profile)
     recognizer = (
         dfs_tree.recognize_dfs_tree if paradigm == "dfs-tree" else attachment_mod.recognize_gs_tree
     )
     outcome = recognizer(profile)
-    if outcome.is_yes:
-        click.echo("YES")
-        for a, b in outcome.tree.edge_names():
-            click.echo(f"{a} {b}")
-    else:
+    if not outcome.is_yes:
         click.echo(f"NO {outcome.reason}")
-        ctx.exit(1)
+        return 1
+    click.echo("YES")
+    for a, b in outcome.tree.edge_names():
+        click.echo(f"{a} {b}")
+    return 0
 
 
 @main.command()
@@ -156,7 +118,7 @@ def recognize(ctx: click.Context, paradigm: str, profile_path: str) -> None:
 @click.option("--dot", is_flag=True, help="Emit GraphViz DOT instead of plain arcs.")
 def attachment(profile_path: str, dot: bool) -> None:
     """Print the attachment digraph of a profile."""
-    profile, _ = _load_profile(profile_path)
+    profile, _ = _parse(profile_path, parse_bounded_profile)
     digraph = attachment_mod.build_attachment_digraph(profile)
     if dot:
         click.echo("digraph attachment {")
@@ -179,30 +141,24 @@ def attachment(profile_path: str, dot: bool) -> None:
 @click.option("--k", "k_opt", type=int, default=None,
               help="Bound for edge/deg problems; defaults to a 'k:' header "
                    "in the profile file if present.")
-@click.pass_context
-def solve(ctx: click.Context, problem: str, paradigm: str, profile_path: str,
-          k_opt: int | None) -> None:
+def solve(problem: str, paradigm: str, profile_path: str, k_opt: int | None) -> int:
     """Exact small-scale solver for the support decision problems."""
-    profile, file_k = _load_profile(profile_path)
-    para = _paradigm(paradigm)
+    profile, file_k = _parse(profile_path, parse_bounded_profile)
     if problem == "tree":
         kind: oracles.ProblemKind = oracles.TreeSupport()
     else:
         k = k_opt if k_opt is not None else file_k
         if k is None:
-            raise _fail("--k is required for edge/deg problems")
+            raise click.UsageError("--k is required for edge/deg problems")
         kind = oracles.EdgeBounded(k) if problem == "edge" else oracles.DegBounded(k)
-    try:
-        result = oracles.brute_force_graph_support(profile, para, kind)
-    except CapError as exc:
-        raise _fail(str(exc)) from exc
-    if result.is_yes:
-        click.echo("YES")
-        for a, b in result.witness.edge_names():
-            click.echo(f"{a} {b}")
-    else:
+    result = oracles.brute_force_graph_support(profile, Paradigm(paradigm), kind)
+    if not result.is_yes:
         click.echo("NO")
-        ctx.exit(1)
+        return 1
+    click.echo("YES")
+    for a, b in result.witness.edge_names():
+        click.echo(f"{a} {b}")
+    return 0
 
 
 @main.command()
@@ -214,15 +170,9 @@ def solve(ctx: click.Context, problem: str, paradigm: str, profile_path: str,
 @click.option("--out", "out_path", required=True, type=click.Path())
 def reduce(paradigm: str, bound: str, graph_path: str, kappa: int, out_path: str) -> None:
     """Write a Vertex-Cover hardness instance for the paradigm."""
-    source = _load_graph(graph_path)
-    try:
-        instance = reductions.reduce(_paradigm(paradigm), bound, source, kappa)
-    except ValueError as exc:
-        raise _fail(str(exc)) from exc
-    try:
-        Path(out_path).write_text(instance.emit())
-    except OSError as exc:
-        raise _fail(f"cannot write {out_path}: {exc}") from exc
+    source = _parse(graph_path, parse_graph)
+    instance = reductions.reduce(Paradigm(paradigm), bound, source, kappa)
+    Path(out_path).write_text(instance.emit())
     click.echo(
         f"wrote {len(instance.profile)} orderings over "
         f"{instance.profile.universe.n} vertices, k={instance.k}"
@@ -230,20 +180,16 @@ def reduce(paradigm: str, bound: str, graph_path: str, kappa: int, out_path: str
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Programmatic entry point; returns the exit code."""
+    """Run one command line; returns the exit code."""
     try:
         rv = main.main(args=list(argv) if argv is not None else None,
                        standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
         exc.show()
         return exc.exit_code
-    except (FormatError, CapError, OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except (FormatError, CapError, OSError, ValueError, KeyError) as exc:
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        click.echo(f"error: {message}", err=True)
         return 2
     return rv if isinstance(rv, int) else 0
-
-
-if __name__ == "__main__":
-    main()

@@ -167,15 +167,6 @@ class Graph:
             pairs.add((min(u, v), max(u, v)))
         return Graph(self.universe, frozenset(pairs))
 
-    def with_clique(self, names: Iterable[str]) -> Graph:
-        """The graph plus all edges between the given vertices."""
-        idx = sorted(self.universe.index(v) for v in names)
-        pairs = set(self.edges)
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                pairs.add((idx[a], idx[b]))
-        return Graph(self.universe, frozenset(pairs))
-
     def induced(self, names: Iterable[str]) -> Graph:
         """Induced subgraph; the sub-universe keeps the original name order."""
         keep = set(self.universe.index(v) for v in names)
@@ -377,8 +368,8 @@ def parse_graph(text: str) -> Graph:
         edges.append((toks[0], toks[1]))
     try:
         return Graph.build(uni.names, edges)
-    except KeyError as exc:
-        raise FormatError(str(exc)) from None
+    except (KeyError, ValueError) as exc:  # unknown endpoint, self-loop
+        raise FormatError(exc.args[0]) from None
 
 
 def emit_graph(g: Graph) -> str:

@@ -1,11 +1,13 @@
 """Vertex-Cover reduction instance generators.
 
-Each generator takes a 3-regular source graph G and a cover budget
-kappa and emits a profile of orderings plus a bound k such that the
-profile admits a support graph within the bound iff G has a vertex
-cover of size kappa. The constructed gadget graph G' always contains
-a designated vertex z; adding the edges between z and a cover S of G
-turns G' into a support H, which is what `validate_forward` checks.
+For a 3-regular source graph G and a cover budget kappa, `reduce` emits
+a profile of orderings plus a bound k such that the profile admits a
+support graph within the bound iff G has a vertex cover of size kappa.
+Each family's builder gives the rows and the gadget graph G', which has
+a designated vertex z. Adding the kappa edges between z and a cover S
+of G turns G' into a support H, which is what `validate_forward`
+checks; so k = kappa + |E(G')| for an edge bound and kappa + deg_G'(z)
+for a degree bound.
 
 Source vertices are renamed canonically to v1..vn (in declaration
 order); gadget vertices get family-specific names. All helper
@@ -140,7 +142,7 @@ def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
 # --- DFS ------------------------------------------------------------------
 
 
-def _dfs_instance(source: Graph, kappa: int, bound: str):
+def _dfs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     V = [f"v{i}" for i in range(1, n + 1)]
@@ -168,14 +170,13 @@ def _dfs_instance(source: Graph, kappa: int, bound: str):
         rows.append(shared + [V[a], V[b], F[b], "z"] + Z + [F[a]])
         rows.append(shared + [V[b], V[a], F[a], "z"] + Z + [F[b]])
 
-    k = kappa + n if bound == DEG else kappa + n * (n - 1) // 2 + n
-    return universe, edges, rows, k
+    return universe, edges, rows
 
 
 # --- BFS / LexBFS ---------------------------------------------------------
 
 
-def _bfs_instance(source: Graph, kappa: int, bound: str):
+def _bfs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     nsq = n * n
@@ -220,14 +221,13 @@ def _bfs_instance(source: Graph, kappa: int, bound: str):
                     else:
                         rows.append(row)
 
-    k = kappa + n * (n + 1) if bound == DEG else kappa + n * (n - 1) // 2 + n**3
-    return universe, edges, rows, k
+    return universe, edges, rows
 
 
 # --- LexDFS ----------------------------------------------------------------
 
 
-def _lexdfs_instance(source: Graph, kappa: int, bound: str):
+def _lexdfs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     m = len(edge_list)
@@ -282,14 +282,13 @@ def _lexdfs_instance(source: Graph, kappa: int, bound: str):
             )
 
     rows = [list(complete_prefix(gadget, prefix, Paradigm.LEXDFS).names) for prefix in prefixes]
-    k = kappa + m if bound == DEG else kappa + gadget.m
-    return universe, [tuple(e) for e in edges], rows, k
+    return universe, edges, rows
 
 
 # --- MCS --------------------------------------------------------------------
 
 
-def _mcs_instance(source: Graph, kappa: int, bound: str):
+def _mcs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     m = len(edge_list)
@@ -364,18 +363,13 @@ def _mcs_instance(source: Graph, kappa: int, bound: str):
         for lead, last in ((W[x], W[m + x]), (W[m + x], W[x])):
             rows.append([lead, V[j], V[i], "z", last] + shared)
 
-    gadget_edge_count = len(set(tuple(sorted(e)) for e in edges))
-    if bound == DEG:
-        k = 2 * m + 4 * n - 1 + n * (n + 1) // 2 + kappa
-    else:
-        k = kappa + gadget_edge_count
-    return universe, edges, rows, k
+    return universe, edges, rows
 
 
 # --- MNS --------------------------------------------------------------------
 
 
-def _mns_instance(source: Graph, kappa: int, bound: str):
+def _mns_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     m = len(edge_list)
@@ -457,11 +451,7 @@ def _mns_instance(source: Graph, kappa: int, bound: str):
             rows.append(
                 [Z[i], "z"] + _minus(Z, {Z[i]}) + _minus(U, {"z"}) + T + F + V + W
             )
-        k = kappa + m + 4 * n - 1
-    else:
-        gadget_edge_count = len(set(tuple(sorted(e)) for e in edges))
-        k = kappa + gadget_edge_count
-    return universe, edges, rows, k
+    return universe, edges, rows
 
 
 _BUILDERS = {
@@ -481,9 +471,10 @@ def reduce(paradigm: Paradigm, bound: str, source: Graph, kappa: int) -> Reducti
     if paradigm not in _BUILDERS:
         raise ValueError(f"no construction exists for paradigm {paradigm.value!r}")
     _check_source(source, kappa, paradigm)
-    universe, edges, rows, k = _BUILDERS[paradigm](source, kappa, bound)
+    universe, edges, rows = _BUILDERS[paradigm](source, bound)
     gadget = Graph.build(universe, edges)
     profile = Profile.build(universe, rows)
+    k = kappa + (gadget.m if bound == EDGE else gadget.degree("z"))
     return ReductionInstance(
         paradigm=paradigm,
         bound=bound,

@@ -125,6 +125,18 @@ class LabelState:
         return not any(map(self.labels[v].__lt__, self.labels))
 
 
+def _replay(graph: Graph, names: Sequence[str], paradigm: Paradigm) -> LabelState:
+    """The run state after visiting the named vertices in order, with no
+    candidacy test; a repeated vertex is an error."""
+    state = LabelState(graph._adj, paradigm)
+    for name in names:
+        i = graph.universe.index(name)
+        if i in state.visited:
+            raise ValueError(f"duplicate vertex {name!r} in prefix")
+        state.advance(i)
+    return state
+
+
 def step_candidates(
     graph: Graph, visited: Sequence[str], paradigm: Paradigm
 ) -> tuple[str, ...]:
@@ -133,14 +145,7 @@ def step_candidates(
     The prefix is replayed label-by-label; it does not itself have to be
     a valid partial run of the paradigm.
     """
-    state = LabelState(graph._adj, paradigm)
-    seen = set()
-    for name in visited:
-        i = graph.universe.index(name)
-        if i in seen:
-            raise ValueError(f"duplicate vertex {name!r} in prefix")
-        seen.add(i)
-        state.advance(i)
+    state = _replay(graph, visited, paradigm)
     return tuple(graph.universe.name(i) for i in state.candidates())
 
 
@@ -185,23 +190,18 @@ def enumerate_orderings(
 def complete_prefix(
     graph: Graph, prefix: Sequence[str] | Ordering, paradigm: Paradigm
 ) -> Ordering:
-    """Extend a prefix to a full ordering by running the paradigm on the
-    graph augmented with a clique on the prefix set, then continuing
-    greedily (lowest index on ties).
+    """Extend a prefix to a full ordering: replay the prefix as given,
+    then continue greedily (lowest index on ties).
 
-    The clique makes any prefix replayable regardless of adjacency; the
-    returned ordering restricted to the first len(prefix) positions is
-    the prefix itself.
+    The replay tests no candidacy, so any prefix of distinct vertices
+    extends, and the returned ordering starts with the prefix itself.
+    Whether the result is a valid ordering of the paradigm is left to
+    the caller (`is_partial_ordering` checks it).
     """
-    names = list(prefix.names if isinstance(prefix, Ordering) else prefix)
-    star = graph.with_clique(names) if len(names) > 1 else graph
-    state = LabelState(star._adj, paradigm)
-    seq: list[int] = []
-    for name in names:
-        i = star.universe.index(name)
-        state.advance(i)
-        seq.append(i)
-    while len(seq) < star.n:
+    names = prefix.names if isinstance(prefix, Ordering) else prefix
+    state = _replay(graph, names, paradigm)
+    seq = list(graph.universe.indices(names))
+    while len(seq) < graph.n:
         v = state.candidates()[0]
         state.advance(v)
         seq.append(v)

@@ -1,8 +1,16 @@
 """End-to-end exercise of every subcommand through the programmatic runner."""
 
-import pytest
+import contextlib
+import importlib
+import io
+import string
+from pathlib import Path
 
-from searchorder import parse_bounded_profile
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from searchorder import Paradigm, parse_bounded_profile
 from searchorder.cli import run
 
 PATH3 = "vertices: a b c\na b\nb c\n"
@@ -159,3 +167,108 @@ def test_usage_errors_exit_2(files, tmp_path):
                 "--ordering", "a b c"]) == 2
     assert run(["recognize", "--paradigm", "dfs-tree",
                 "--profile", files("bad.txt", "vertices: a b\na\n")]) == 2
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["searchorder"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is run
+
+
+def test_negative_bound_is_an_input_error(files, capsys):
+    assert run(["solve", "--problem", "deg", "--paradigm", "gs",
+                "--profile", files("p.txt", PAIR_PROFILE), "--k", "-1"]) == 2
+    assert capsys.readouterr().err == "error: bound must be non-negative\n"
+
+
+def test_unknown_vertex_message_is_unquoted(files, capsys):
+    assert run(["generate", "--paradigm", "bfs", "--graph", files("g.txt", PATH3),
+                "--start", "z"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'z'\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (["solve", "--problem", "tree", "--paradigm", "gs", "--profile"], "vertices: a b\na\n",
+     "line is not a permutation of the universe: 'a'"),
+    (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b\na z\n",
+     "unknown vertex 'z'"),
+    (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b\na a\n",
+     "self-loop at 'a'"),
+])
+def test_format_errors_name_the_file(files, capsys, command, text, message):
+    path = files("bad.txt", text)
+    assert run(command + [path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+# ------------------------------------------------------------------- fuzz
+#
+# Random graph and profile text through every reading command: the exit
+# code is always 0, 1 or 2, an exit 2 says why on stderr, and nothing
+# escapes `run`. Names stay within five vertices so the exact solvers
+# answer in milliseconds.
+
+_PARADIGMS = st.sampled_from([p.value for p in Paradigm])
+_JUNK_LINE = st.lists(
+    st.sampled_from(["a", "b", "z", "vertices:", "k:", "#", "-1", "2"]), max_size=4
+).map(" ".join)
+
+
+@st.composite
+def _cases(draw):
+    """A file text and a command line reading it from the placeholder FILE.
+
+    Mostly a well-formed graph or profile, as the command expects, over
+    the names the command also uses; now and then a junk line, the other
+    kind of file, or raw text.
+    """
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    ordering = st.one_of(st.permutations(names).map(" ".join), _JUNK_LINE)
+    start = st.sampled_from([[]] + [["--start", v] for v in names + ["z"]])
+    bound = st.sampled_from([[], ["--k", "-1"], ["--k", "0"], ["--k", "3"]])
+    command = draw(st.one_of(
+        st.tuples(_PARADIGMS, ordering).map(
+            lambda t: ["verify", "--paradigm", t[0], "--graph", "FILE", "--ordering", t[1]]),
+        st.tuples(_PARADIGMS, start).map(
+            lambda t: ["generate", "--paradigm", t[0], "--graph", "FILE"] + t[1]),
+        _PARADIGMS.map(lambda p: ["enumerate", "--paradigm", p, "--graph", "FILE"]),
+        st.sampled_from(["dfs-tree", "gs-tree"]).map(
+            lambda p: ["recognize", "--paradigm", p, "--profile", "FILE"]),
+        st.sampled_from([[], ["--dot"]]).map(
+            lambda dot: ["attachment", "--profile", "FILE"] + dot),
+        st.tuples(st.sampled_from(["tree", "edge", "deg"]), _PARADIGMS, bound).map(
+            lambda t: ["solve", "--problem", t[0], "--paradigm", t[1],
+                       "--profile", "FILE"] + t[2]),
+    ))
+    kind = draw(st.sampled_from(["expected"] * 6 + ["other", "raw"]))
+    if kind == "raw":
+        return draw(st.text(string.printable, max_size=40)), command
+    width = len(names) if ("--graph" in command) == (kind == "other") else 2
+    lines = draw(st.lists(st.permutations(names).map(lambda row: " ".join(row[:width])),
+                          min_size=1, max_size=5))
+    if draw(st.sampled_from([False] * 3 + [True])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK_LINE))
+    if draw(st.booleans()):
+        lines.insert(0, f"k: {draw(st.integers(-1, 4))}")
+    return "\n".join(["vertices: " + " ".join(names)] + lines) + "\n", command
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cases())
+def test_fuzzed_input_never_escapes_run(fuzz_dir, case):
+    text, command = case
+    path = fuzz_dir / "input.txt"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(path) if arg == "FILE" else arg for arg in command])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().strip()

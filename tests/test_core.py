@@ -81,10 +81,9 @@ def test_induced_subgraph():
     assert sorted(sub.edge_names()) == [("a", "b"), ("b", "c")]
 
 
-def test_with_edges_and_with_clique():
+def test_with_edges():
     g = Graph.build("abcd", [])
     assert g.with_edges([("a", "b")]).m == 1
-    assert g.with_clique(["a", "b", "c"]).m == 3
     # original untouched
     assert g.m == 0
 

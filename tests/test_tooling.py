@@ -1,6 +1,7 @@
 """Hygiene checks that stand in for a linter: the public API resolves,
-no package module imports a name it never uses, and the shared test
-corpora refuse requests they cannot meet."""
+no package module imports a name it never uses, no private name is
+left without a user, and the shared test corpora refuse requests they
+cannot meet."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,36 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, and the
+    private methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_every_private_name_has_a_user():
+    defined, used = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        defined |= {name for name in _private_definitions(tree) if _is_private(name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []
 
 
 def test_random_profiles_refuses_more_rows_than_permutations():

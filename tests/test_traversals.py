@@ -107,6 +107,13 @@ def test_complete_prefix_keeps_the_prefix():
     assert done.is_complete
 
 
+@pytest.mark.parametrize("prefix", [("a", "a"), ("a", "b", "a")])
+def test_repeated_prefix_vertex_is_named(prefix):
+    for check in (complete_prefix, is_partial_ordering):
+        with pytest.raises(ValueError, match="duplicate vertex 'a' in prefix"):
+            check(PATH3, prefix, Paradigm.BFS)
+
+
 def test_partial_ordering_pins():
     # no BFS run of the path visits c straight after a
     assert not is_partial_ordering(PATH3, ("a", "c"), Paradigm.BFS)
