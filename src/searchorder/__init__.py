@@ -18,12 +18,8 @@ from .core import (
     Universe,
     emit_graph,
     emit_profile,
-    ordering_delete,
-    ordering_prefix,
-    ordering_up_to,
     parse_bounded_profile,
     parse_graph,
-    parse_profile,
     universe_of,
 )
 from .traversals import (
@@ -33,12 +29,10 @@ from .traversals import (
     complete_prefix,
     enumerate_orderings,
     generate_ordering,
-    step_candidates,
 )
 from .verifiers import (
     PARADIGM_PROPERTY,
     FourPointProperty,
-    bfs_first_vertex_check,
     certify_by_simulation,
     is_partial_ordering,
     is_s_ordering,
@@ -84,14 +78,12 @@ from .reductions import (
 
 __all__ = [
     "CapError", "FormatError", "Graph", "NotATreeError", "Ordering", "Profile", "Tree",
-    "Universe", "emit_graph", "emit_profile", "ordering_delete", "ordering_prefix",
-    "ordering_up_to", "parse_bounded_profile", "parse_graph", "parse_profile",
+    "Universe", "emit_graph", "emit_profile", "parse_bounded_profile", "parse_graph",
     "universe_of",
     "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",
-    "enumerate_orderings", "generate_ordering", "step_candidates",
-    "PARADIGM_PROPERTY", "FourPointProperty", "bfs_first_vertex_check",
-    "certify_by_simulation", "is_partial_ordering", "is_s_ordering",
-    "satisfies_property",
+    "enumerate_orderings", "generate_ordering",
+    "PARADIGM_PROPERTY", "FourPointProperty", "certify_by_simulation",
+    "is_partial_ordering", "is_s_ordering", "satisfies_property",
     "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
     "RecognitionOutcome", "blocker_set", "build_attachment_digraph",
     "enumerate_gs_tree_supports", "forced_subtree", "recognize_gs_tree",

@@ -39,6 +39,7 @@ from .core import CapError, Graph, Ordering, Profile, Tree, Universe, iter_bits
 
 DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 UNREALIZABLE_ATTACHMENT = "UNREALIZABLE_ATTACHMENT"
+FREE_VERTEX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,10 @@ def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class AttachmentDigraph:
-    """out_masks[v] holds v's out-neighbors; final_pair_arc is the arc
-    joining the last two survivors, by name, if two survived."""
+    """out_masks[v] holds v's out-neighbors."""
 
     universe: Universe
     out_masks: tuple[int, ...]
-    final_pair_arc: tuple[str, str] | None
 
     @cached_property
     def forced_mask(self) -> int:
@@ -132,9 +131,7 @@ class AttachmentDigraph:
         return self.sink_count() == 1 or self.underlying_graph().is_connected()
 
 
-def build_attachment_digraph(
-    profile: Profile, *, reverse_final_pair: bool = False
-) -> AttachmentDigraph:
+def build_attachment_digraph(profile: Profile) -> AttachmentDigraph:
     """Peel bottom-ranked vertices and record their common blockers.
 
     Each ordering keeps a head and a tail pointer over the `alive` mask;
@@ -142,8 +139,8 @@ def build_attachment_digraph(
     with `alive`, unless it heads the survivors there.
 
     When exactly two vertices survive, they are joined by one arc whose
-    direction carries no information; it runs lower index -> higher by
-    convention (`reverse_final_pair` flips it, for invariance tests).
+    direction carries no information; it runs from the lower index to
+    the higher, by convention.
     """
     uni = profile.universe
     n = uni.n
@@ -184,13 +181,10 @@ def build_attachment_digraph(
         for v in peeled:
             alive ^= 1 << v
         left -= len(peeled)
-    final_arc: tuple[str, str] | None = None
     if left == 2:
         low, high = iter_bits(alive)
-        tail, head = (high, low) if reverse_final_pair else (low, high)
-        out[tail] |= 1 << head
-        final_arc = (uni.name(tail), uni.name(head))
-    return AttachmentDigraph(uni, tuple(out), final_arc)
+        out[low] |= 1 << high
+    return AttachmentDigraph(uni, tuple(out))
 
 
 def forced_subtree(digraph: AttachmentDigraph) -> Graph:
@@ -236,16 +230,16 @@ def recognize_gs_tree(profile: Profile) -> RecognitionOutcome:
     return RecognitionOutcome(True, tree=Tree.from_pairs(profile.universe, lowest))
 
 
-def enumerate_gs_tree_supports(
-    profile: Profile, free_cap: int = 12
-) -> tuple[Tree, ...]:
+def enumerate_gs_tree_supports(profile: Profile) -> tuple[Tree, ...]:
     """All tree supports, as realizations keeping one outgoing arc per
-    vertex. Empty when no realization spans (see recognize_gs_tree)."""
+    vertex. Empty when no realization spans (see recognize_gs_tree).
+    Raises CapError above FREE_VERTEX_CAP free vertices, since the count
+    of realizations is the product of the free vertices' out-degrees."""
     digraph = build_attachment_digraph(profile)
     if digraph.sink_count() != 1:
         return ()
-    if len(digraph.free) > free_cap:
-        raise CapError(f"profile has more than {free_cap} free vertices")
+    if len(digraph.free) > FREE_VERTEX_CAP:
+        raise CapError(f"profile has more than {FREE_VERTEX_CAP} free vertices")
     choice_lists = [
         [(v, u) for u in iter_bits(out)] for v, out in enumerate(digraph.out_masks) if out
     ]

@@ -39,6 +39,11 @@ def _parse(path: str, parser: Callable[[str], _T]) -> _T:
         raise FormatError(f"{path}: {exc}") from None
 
 
+def _dot_id(name: str) -> str:
+    """A vertex name as a quoted DOT ID, in which only '"' is escaped."""
+    return '"' + name.replace('"', '\\"') + '"'
+
+
 @click.group()
 def main() -> None:
     """Graph-search orderings: verify, generate, enumerate, recognize."""
@@ -123,9 +128,9 @@ def attachment(profile_path: str, dot: bool) -> None:
     if dot:
         click.echo("digraph attachment {")
         for v in digraph.free_names():
-            click.echo(f'  "{v}" [shape=doublecircle];')
+            click.echo(f"  {_dot_id(v)} [shape=doublecircle];")
         for a, b in digraph.arc_names():
-            click.echo(f'  "{a}" -> "{b}";')
+            click.echo(f"  {_dot_id(a)} -> {_dot_id(b)};")
         click.echo("}")
         return
     for a, b in digraph.arc_names():

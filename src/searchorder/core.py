@@ -207,17 +207,14 @@ class Tree(Graph):
         g = Graph.build(names, edges)
         return cls(g.universe, g.edges)
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> Tree:
-        return cls(g.universe, g.edges)
-
 
 @dataclass(frozen=True)
 class Ordering:
     """A sequence of distinct vertices of a universe, leftmost visited first.
 
-    A *complete* ordering covers the whole universe; fragments (prefixes,
-    deletions) are represented by the same type.
+    A *complete* ordering covers the whole universe. An incomplete one
+    arises only from input, such as an ordering given on the command
+    line, and is refused where a complete one is needed.
     """
 
     universe: Universe
@@ -262,33 +259,6 @@ class Ordering:
         if i not in self._pos:
             raise ValueError(f"{name!r} does not occur in the ordering")
         return self._pos[i] + 1
-
-    def at(self, position: int) -> str:
-        """Vertex at the given 1-based position."""
-        if not 1 <= position <= len(self.seq):
-            raise ValueError(f"position {position} out of range")
-        return self.universe.name(self.seq[position - 1])
-
-    def before(self, a: str, b: str) -> bool:
-        return self.position(a) < self.position(b)
-
-
-def ordering_prefix(sigma: Ordering, i: int) -> Ordering:
-    """The first i vertices of sigma (i may be 0..len(sigma))."""
-    if not 0 <= i <= len(sigma.seq):
-        raise ValueError(f"prefix length {i} out of range")
-    return Ordering(sigma.universe, sigma.seq[:i])
-
-
-def ordering_delete(sigma: Ordering, names: Iterable[str]) -> Ordering:
-    """sigma with the given vertices removed, order preserved."""
-    drop = {sigma.universe.index(v) for v in names}
-    return Ordering(sigma.universe, tuple(i for i in sigma.seq if i not in drop))
-
-
-def ordering_up_to(sigma: Ordering, name: str) -> Ordering:
-    """The prefix of sigma strictly before `name`."""
-    return ordering_prefix(sigma, sigma.position(name) - 1)
 
 
 @dataclass(frozen=True)
@@ -376,11 +346,6 @@ def emit_graph(g: Graph) -> str:
     lines = ["vertices: " + " ".join(g.universe.names)]
     lines.extend(f"{a} {b}" for a, b in g.edge_names())
     return "\n".join(lines) + "\n"
-
-
-def parse_profile(text: str) -> Profile:
-    profile, _k = parse_bounded_profile(text)
-    return profile
 
 
 def parse_bounded_profile(text: str) -> tuple[Profile, int | None]:

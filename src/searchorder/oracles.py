@@ -12,6 +12,10 @@ share no nontrivial code path with the recognizers they check. Sorting
 by Prüfer code restores the order of `enumerate_tree_edge_sets`. The
 bounded problems try edge subsets of increasing size, with the same
 growth check before simulation.
+
+Every search here is exponential, so each raises CapError above a fixed
+size, set by the module constants: n = 8 for tree supports, 5 for the
+edge bound, 6 for the degree bound and 20 for the vertex cover.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .verifiers import certify_by_simulation
 TREE_ENUMERATION_CAP = 8
 EDGE_SEARCH_CAP = 5
 DEG_SEARCH_CAP = 6
+VERTEX_COVER_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,11 @@ def _grows_connected(masks: list[int], seq: tuple[int, ...]) -> bool:
     return True
 
 
-def _tree_supports(profile: Profile, paradigm: Paradigm, cap: int) -> Iterator[Tree]:
+def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
     """Every tree admitting the whole profile, lazily, in Prüfer order."""
     n = profile.universe.n
-    if n > cap:
-        raise CapError(f"tree enumeration needs n <= {cap}, got n = {n}")
+    if n > TREE_ENUMERATION_CAP:
+        raise CapError(f"tree enumeration needs n <= {TREE_ENUMERATION_CAP}, got n = {n}")
     if n == 0:
         raise ValueError("need at least one vertex")
     seqs = [o.seq for o in profile.orderings]
@@ -148,20 +153,16 @@ def _tree_supports(profile: Profile, paradigm: Paradigm, cap: int) -> Iterator[T
             yield tree
 
 
-def brute_force_tree_support(
-    profile: Profile, paradigm: Paradigm, cap: int = TREE_ENUMERATION_CAP
-) -> OracleResult:
+def brute_force_tree_support(profile: Profile, paradigm: Paradigm) -> OracleResult:
     """First tree (in Prüfer order) admitting every profile ordering,
     or NO after exhausting the candidates."""
-    witness = next(_tree_supports(profile, paradigm, cap), None)
+    witness = next(_tree_supports(profile, paradigm), None)
     return OracleResult(witness is not None, witness)
 
 
-def all_tree_supports(
-    profile: Profile, paradigm: Paradigm, cap: int = TREE_ENUMERATION_CAP
-) -> tuple[Tree, ...]:
+def all_tree_supports(profile: Profile, paradigm: Paradigm) -> tuple[Tree, ...]:
     """Every tree admitting the whole profile, in Prüfer order."""
-    return tuple(_tree_supports(profile, paradigm, cap))
+    return tuple(_tree_supports(profile, paradigm))
 
 
 def brute_force_graph_support(
@@ -203,11 +204,11 @@ def brute_force_graph_support(
     return OracleResult(False)
 
 
-def min_vertex_cover(graph: Graph, cap: int = 20) -> tuple[str, ...]:
+def min_vertex_cover(graph: Graph) -> tuple[str, ...]:
     """Lexicographically least minimum vertex cover, by index order."""
     n = graph.n
-    if n > cap:
-        raise CapError(f"vertex cover search needs n <= {cap}, got n = {n}")
+    if n > VERTEX_COVER_CAP:
+        raise CapError(f"vertex cover search needs n <= {VERTEX_COVER_CAP}, got n = {n}")
     edges = sorted(graph.edges)
     for size in range(n + 1):
         for subset in combinations(range(n), size):

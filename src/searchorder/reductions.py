@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .core import FormatError, Graph, Profile, emit_profile, parse_bounded_profile
 from .traversals import Paradigm, complete_prefix
@@ -29,6 +29,9 @@ from .verifiers import is_s_ordering
 
 EDGE = "edge"
 DEG = "deg"
+ATTACH_VERTEX = "z"  # the gadget vertex a cover is attached to
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -56,17 +59,37 @@ def build_drone(p: int, q: int) -> Drone:
     return Drone(p, q, Graph.build(names, edges))
 
 
+def _metadata(meta: dict[str, str], key: str, read: Callable[[str], _T]) -> _T:
+    """One metadata field, converted by `read`; a missing or malformed
+    field is a FormatError that names it."""
+    if key not in meta:
+        raise FormatError(f"instance file lacks '# {key}:' metadata")
+    try:
+        return read(meta[key])
+    except (KeyError, ValueError) as exc:  # unknown vertex, self-loop, bad int or name
+        raise FormatError(f"bad '# {key}:' metadata: {exc.args[0]}") from None
+
+
+def _name_pairs(value: str) -> list[tuple[str, str]]:
+    tokens = value.split()
+    if len(tokens) % 2:
+        raise ValueError("expected name pairs")
+    return list(zip(tokens[::2], tokens[1::2]))
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     paradigm: Paradigm
     bound: str
-    family: str
     kappa: int
     source: Graph
     gadget: Graph
-    attach_vertex: str
     profile: Profile
     k: int
+
+    @property
+    def family(self) -> str:
+        return f"{self.paradigm.value}-{self.bound}"
 
     def meta(self) -> dict[str, str]:
         return {
@@ -74,11 +97,9 @@ class ReductionInstance:
             "paradigm": self.paradigm.value,
             "bound": self.bound,
             "kappa": str(self.kappa),
-            "attach": self.attach_vertex,
+            "attach": ATTACH_VERTEX,
             "source-vertices": " ".join(self.source.universe.names),
-            "source-edges": " ".join(
-                f"{a} {b}" for a, b in self.source.edge_names()
-            ),
+            "source-edges": " ".join(f"{a} {b}" for a, b in self.source.edge_names()),
         }
 
     def emit(self) -> str:
@@ -86,6 +107,9 @@ class ReductionInstance:
 
     @staticmethod
     def parse(text: str) -> "ReductionInstance":
+        """Rebuild an instance from the metadata of its file and check the
+        file's profile and bound against it. Any malformed or inconsistent
+        field raises FormatError."""
         meta: dict[str, str] = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -93,19 +117,15 @@ class ReductionInstance:
                 key, _, value = line[1:].partition(":")
                 meta[key.strip()] = value.strip()
         profile, k = parse_bounded_profile(text)
-        for key in ("paradigm", "bound", "kappa", "source-vertices", "source-edges"):
-            if key not in meta:
-                raise FormatError(f"instance file lacks '# {key}:' metadata")
-        tokens = meta["source-edges"].split()
-        if len(tokens) % 2:
-            raise FormatError("source-edges metadata must list name pairs")
-        source = Graph.build(
-            meta["source-vertices"].split(),
-            list(zip(tokens[::2], tokens[1::2])),
-        )
-        instance = reduce(
-            Paradigm.from_name(meta["paradigm"]), meta["bound"], source, int(meta["kappa"])
-        )
+        paradigm = _metadata(meta, "paradigm", Paradigm.from_name)
+        bound = _metadata(meta, "bound", str)
+        kappa = _metadata(meta, "kappa", int)
+        empty = _metadata(meta, "source-vertices", lambda v: Graph.build(v.split()))
+        source = _metadata(meta, "source-edges", lambda v: empty.with_edges(_name_pairs(v)))
+        try:
+            instance = reduce(paradigm, bound, source, kappa)
+        except ValueError as exc:  # no construction for these fields
+            raise FormatError(f"instance metadata: {exc}") from None
         if instance.profile != profile or instance.k != k:
             raise FormatError("instance file does not match its declared construction")
         return instance
@@ -474,18 +494,8 @@ def reduce(paradigm: Paradigm, bound: str, source: Graph, kappa: int) -> Reducti
     universe, edges, rows = _BUILDERS[paradigm](source, bound)
     gadget = Graph.build(universe, edges)
     profile = Profile.build(universe, rows)
-    k = kappa + (gadget.m if bound == EDGE else gadget.degree("z"))
-    return ReductionInstance(
-        paradigm=paradigm,
-        bound=bound,
-        family=f"{paradigm.value}-{bound}",
-        kappa=kappa,
-        source=source,
-        gadget=gadget,
-        attach_vertex="z",
-        profile=profile,
-        k=k,
-    )
+    k = kappa + (gadget.m if bound == EDGE else gadget.degree(ATTACH_VERTEX))
+    return ReductionInstance(paradigm, bound, kappa, source, gadget, profile, k)
 
 
 def validate_forward(instance: ReductionInstance, cover: Iterable[str]) -> bool:
@@ -511,7 +521,7 @@ def validate_forward(instance: ReductionInstance, cover: Iterable[str]) -> bool:
         name: f"v{idx + 1}" for idx, name in enumerate(src.universe.names)
     }
     support = instance.gadget.with_edges(
-        (instance.attach_vertex, vmap[v]) for v in cover_list
+        (ATTACH_VERTEX, vmap[v]) for v in cover_list
     )
     if instance.bound == EDGE:
         if support.m > instance.k:

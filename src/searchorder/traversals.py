@@ -137,18 +137,6 @@ def _replay(graph: Graph, names: Sequence[str], paradigm: Paradigm) -> LabelStat
     return state
 
 
-def step_candidates(
-    graph: Graph, visited: Sequence[str], paradigm: Paradigm
-) -> tuple[str, ...]:
-    """Vertices eligible as the next visit after the given prefix.
-
-    The prefix is replayed label-by-label; it does not itself have to be
-    a valid partial run of the paradigm.
-    """
-    state = _replay(graph, visited, paradigm)
-    return tuple(graph.universe.name(i) for i in state.candidates())
-
-
 def generate_ordering(
     graph: Graph, paradigm: Paradigm, start: str | None = None
 ) -> Ordering:
@@ -187,9 +175,7 @@ def enumerate_orderings(
     return tuple(out)
 
 
-def complete_prefix(
-    graph: Graph, prefix: Sequence[str] | Ordering, paradigm: Paradigm
-) -> Ordering:
+def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> Ordering:
     """Extend a prefix to a full ordering: replay the prefix as given,
     then continue greedily (lowest index on ties).
 
@@ -198,9 +184,8 @@ def complete_prefix(
     Whether the result is a valid ordering of the paradigm is left to
     the caller (`is_partial_ordering` checks it).
     """
-    names = prefix.names if isinstance(prefix, Ordering) else prefix
-    state = _replay(graph, names, paradigm)
-    seq = list(graph.universe.indices(names))
+    state = _replay(graph, prefix, paradigm)
+    seq = list(graph.universe.indices(prefix))
     while len(seq) < graph.n:
         v = state.candidates()[0]
         state.advance(v)

@@ -141,32 +141,8 @@ def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> 
     return True
 
 
-def is_partial_ordering(
-    graph: Graph, prefix: Sequence[str] | Ordering, paradigm: Paradigm
-) -> bool:
+def is_partial_ordering(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> bool:
     """Whether the prefix extends to a full ordering of the paradigm."""
     completed = complete_prefix(graph, prefix, paradigm)
     return is_s_ordering(graph, completed, paradigm)
 
-
-def bfs_first_vertex_check(graph: Graph, sigma: Ordering) -> bool:
-    """Every vertex between the first vertex a and any neighbor c of a
-    (in sigma order) must itself be adjacent to a.
-
-    Holds for every BFS- and LexBFS-ordering; useful as a cheap
-    structural filter.
-    """
-    if not sigma.is_complete or sigma.universe != graph.universe:
-        raise ValueError("ordering must permute the graph's vertex set")
-    if len(sigma) == 0:
-        return True
-    pos_of = {v: p for p, v in enumerate(sigma.seq)}
-    first = sigma.seq[0]
-    neigh_mask = 0
-    for u in graph.index_neighbors(first):
-        neigh_mask |= 1 << pos_of[u]
-    for pc in iter_bits(neigh_mask):
-        between = ((1 << pc) - 1) & ~1  # positions 1..pc-1
-        if between & ~neigh_mask:
-            return False
-    return True

@@ -78,16 +78,6 @@ def test_digraph_shape_for_a_single_ordering():
     assert sorted(dg.free_names()) == ["c", "d"]
 
 
-def test_final_pair_arc_direction_is_a_convention():
-    plain = sorted(build_attachment_digraph(SINGLE).arc_names())
-    flipped = sorted(build_attachment_digraph(SINGLE, reverse_final_pair=True).arc_names())
-    assert ("a", "b") in plain and ("b", "a") not in plain
-    assert ("b", "a") in flipped and ("a", "b") not in flipped
-    assert [a for a in plain if a not in {("a", "b")}] == [
-        a for a in flipped if a not in {("b", "a")}
-    ]
-
-
 def test_forced_subtree_of_single_ordering():
     dg = build_attachment_digraph(SINGLE)
     tstar = forced_subtree(dg)
@@ -116,25 +106,6 @@ def arcs_by_blocker_sets(profile):
 @settings(max_examples=200, deadline=None)
 def test_mask_built_arcs_match_blocker_sets(profile):
     assert set(build_attachment_digraph(profile).arc_names()) == arcs_by_blocker_sets(profile)
-
-
-@given(profiles(min_n=4, max_n=6))
-@settings(max_examples=80, deadline=None)
-def test_final_pair_direction_never_changes_the_content(profile):
-    plain = build_attachment_digraph(profile)
-    flipped = build_attachment_digraph(profile, reverse_final_pair=True)
-
-    def undirected(dg):
-        return {frozenset(arc) for arc in dg.arc_names()}
-
-    def sink_count(dg):
-        tails = {u for u, _ in dg.arc_names()}
-        return sum(1 for v in dg.universe.names if v not in tails)
-
-    assert undirected(plain) == undirected(flipped)
-    assert sink_count(plain) == sink_count(flipped)
-    if plain.final_pair_arc is not None:
-        assert flipped.final_pair_arc == tuple(reversed(plain.final_pair_arc))
 
 
 # ------------------------------------------------------------- recognition
@@ -177,11 +148,15 @@ def test_enumeration_matches_oracle_on_pins():
 def test_enumeration_cap_counts_free_vertices():
     profile = Profile.build("abcde", [("a", "b", "c", "d", "e"), ("a", "c", "e", "b", "d")])
     assert sorted(build_attachment_digraph(profile).free_names()) == ["d", "e"]
-    with pytest.raises(CapError):
-        enumerate_gs_tree_supports(profile, free_cap=0)
-    assert edge_sets(enumerate_gs_tree_supports(profile, free_cap=2)) == edge_sets(
+    assert edge_sets(enumerate_gs_tree_supports(profile)) == edge_sets(
         all_tree_supports(profile, Paradigm.GS)
     )
+    # one row leaves every vertex but the last two free: 13 here, over the cap
+    names = [f"v{i}" for i in range(15)]
+    row = Profile.build(names, [names])
+    assert len(build_attachment_digraph(row).free) == 13
+    with pytest.raises(CapError):
+        enumerate_gs_tree_supports(row)
 
 
 def test_recognizer_against_oracle_seeded():

@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import re
 import string
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from searchorder import Paradigm, parse_bounded_profile
+from searchorder import Paradigm, build_attachment_digraph, parse_bounded_profile
 from searchorder.cli import run
 
 PATH3 = "vertices: a b c\na b\nb c\n"
@@ -110,6 +111,22 @@ def test_attachment_plain_and_dot(files, capsys):
     assert run(["attachment", "--profile", profile, "--dot"]) == 0
     dot = capsys.readouterr().out
     assert dot.startswith("digraph attachment {") and '"a" -> "b";' in dot
+
+
+# a quoted DOT ID, in which the only escape is \"
+QUOTED_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_attachment_dot_escapes_quotes_in_names(files, capsys):
+    names = ['a"b', '"c', 'd"', "e"]
+    text = "vertices: " + " ".join(names) + "\n"
+    text += " ".join(names) + "\n" + " ".join([names[1], names[0], *names[2:]]) + "\n"
+    assert run(["attachment", "--profile", files("p.txt", text), "--dot"]) == 0
+    body = capsys.readouterr().out.splitlines()[1:-1]
+    read = [tuple(q.replace('\\"', '"') for q in QUOTED_ID.findall(line)) for line in body]
+    digraph = build_attachment_digraph(parse_bounded_profile(text)[0])
+    assert read == [(v,) for v in digraph.free_names()] + list(digraph.arc_names())
+    assert len(read) > len(digraph.free_names()) > 0
 
 
 def test_solve_tree(files, capsys):

@@ -3,16 +3,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from searchorder import (
+    FormatError,
     Graph,
     Paradigm,
+    ReductionInstance,
     build_drone,
     min_vertex_cover,
     parse_bounded_profile,
     reduce,
     validate_forward,
 )
+from searchorder.reductions import ATTACH_VERTEX
 
 from conftest import k4, petersen
 
@@ -65,7 +70,7 @@ def test_instance_shapes_on_the_clique(key):
     # the gadget carries no source edges -- those enter only through the
     # cover chosen at validation time -- so it need not be connected here
     assert inst.gadget.universe == inst.profile.universe
-    assert inst.attach_vertex in inst.gadget.universe
+    assert ATTACH_VERTEX in inst.gadget.universe
 
 
 @pytest.mark.parametrize("key", sorted(PETERSEN_PINS, key=str))
@@ -150,3 +155,84 @@ def test_generation_is_deterministic():
     a = reduce(Paradigm.MNS, "deg", k4(), 3).emit()
     b = reduce(Paradigm.MNS, "deg", k4(), 3).emit()
     assert a == b
+
+
+# ------------------------------------------------------ instance files
+
+
+@pytest.mark.parametrize(
+    "key", sorted(PINS, key=str) + sorted(PETERSEN_PINS, key=str), ids=lambda k: f"{k[0]}-{k[1]}"
+)
+def test_instance_file_round_trip(key):
+    paradigm, bound = key
+    inst = reduce(paradigm, bound, *((k4(), 3) if key in PINS else (petersen(), 6)))
+    text = inst.emit()
+    back = ReductionInstance.parse(text)
+    assert back.family == inst.family == f"{paradigm.value}-{bound}"
+    assert (back.profile, back.k) == (inst.profile, inst.k)
+    assert back.emit() == text
+
+
+def _with_meta(text, key, value):
+    """text with the '# key:' line set to value, or dropped if value is None."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith(f"# {key}:"):
+            if value is None:
+                continue
+            line = f"# {key}: {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+DFS_EDGE_K4 = reduce(Paradigm.DFS, "edge", k4(), 3).emit()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("source-edges", "a b a q"),  # unknown vertex
+        ("source-edges", "a a"),  # self-loop
+        ("source-edges", "a b c"),  # odd token count
+        ("source-vertices", "a a b c"),  # duplicate name
+        ("kappa", "three"),
+        ("kappa", "1"),
+        ("paradigm", "depth"),
+        ("paradigm", "gs"),
+        ("bound", "edges"),
+        ("paradigm", None),
+    ],
+)
+def test_tampered_metadata_is_a_format_error_naming_the_field(key, value):
+    with pytest.raises(FormatError, match=key):
+        ReductionInstance.parse(_with_meta(DFS_EDGE_K4, key, value))
+
+
+METADATA_KEYS = ("family", "paradigm", "bound", "kappa", "attach",
+                 "source-vertices", "source-edges")
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(METADATA_KEYS),
+            st.one_of(
+                st.none(),
+                st.text(alphabet="abcdqz0123-_' :#", max_size=12),
+                st.sampled_from(["dfs", "gs", "lexdfs", "edge", "deg", "3", "-1", "a b", "a"]),
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_metadata_parses_or_is_a_format_error(edits):
+    text = DFS_EDGE_K4
+    for key, value in edits:
+        text = _with_meta(text, key, value)
+    try:
+        inst = ReductionInstance.parse(text)
+    except FormatError:
+        return
+    assert (inst.profile, inst.k) == parse_bounded_profile(text)

@@ -1,9 +1,12 @@
-"""Hygiene checks that stand in for a linter: the public API resolves,
-no package module imports a name it never uses, no private name is
-left without a user, and the shared test corpora refuse requests they
-cannot meet."""
+"""Hygiene checks that stand in for a linter: the public API resolves
+and matches the README's list, no package module imports a name it
+never uses, no private name is left without a user, and the shared test
+corpora refuse requests they cannot meet."""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -13,11 +16,39 @@ import searchorder
 from conftest import random_profiles
 
 MODULES = sorted(Path(searchorder.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_public_name_resolves():
     assert len(set(searchorder.__all__)) == len(searchorder.__all__)
     assert [name for name in searchorder.__all__ if not hasattr(searchorder, name)] == []
+
+
+def _readme_api():
+    """{module: [names]} from the bullets of the README's Public API
+    section, one bullet per module: '- **module** (...): `name`, ...'."""
+    section = README.read_text().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"\n(?=- )", section.split("\n- ", 1)[1].split("\n\n", 1)[0])
+    api = {}
+    for bullet in bullets:
+        module = re.match(r"(?:- )?\*\*(\w+)\*\*", bullet).group(1)
+        api[module] = re.findall(r"`(\w+)`", bullet)
+    return api
+
+
+def test_readme_lists_exactly_the_exported_names():
+    listed = [name for names in _readme_api().values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(searchorder.__all__)
+
+
+def test_readme_groups_names_by_their_defining_module():
+    for module, names in _readme_api().items():
+        mod = importlib.import_module(f"searchorder.{module}")
+        for name in names:
+            obj = getattr(mod, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == mod.__name__, name
 
 
 def _unused_imports(path):

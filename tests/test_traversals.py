@@ -11,15 +11,19 @@ from searchorder import (
     Graph,
     LabelState,
     Paradigm,
+    Tree,
     complete_prefix,
+    enumerate_labeled_trees,
     enumerate_orderings,
     generate_ordering,
     is_partial_ordering,
     is_s_ordering,
-    step_candidates,
+    universe_of,
 )
 
-from conftest import all_connected_graphs, graphs, k4
+from searchorder.oracles import enumerate_tree_edge_sets
+
+from conftest import NAMES, all_connected_graphs, graphs, k4
 
 PATH3 = Graph.build("abc", [("a", "b"), ("b", "c")])
 STAR4 = Graph.build("abcd", [("d", "a"), ("d", "b"), ("d", "c")])
@@ -91,14 +95,6 @@ def test_enumeration_cap():
     with pytest.raises(CapError):
         enumerate_orderings(big, Paradigm.BFS)
     assert len(enumerate_orderings(big, Paradigm.BFS, cap=9)) > 0
-
-
-def test_step_candidates():
-    assert step_candidates(PATH3, (), Paradigm.BFS) == ("a", "b", "c")
-    assert step_candidates(PATH3, ("a",), Paradigm.BFS) == ("b",)
-    assert step_candidates(PATH3, ("b",), Paradigm.DFS) == ("a", "c")
-    with pytest.raises(ValueError):
-        step_candidates(PATH3, ("a", "a"), Paradigm.BFS)
 
 
 def test_complete_prefix_keeps_the_prefix():
@@ -211,6 +207,38 @@ def test_strict_containment_witnesses(graph, names, inside, outside):
     enum_in = {o.names for o in enumerate_orderings(graph, inside)}
     enum_out = {o.names for o in enumerate_orderings(graph, outside)}
     assert names in enum_in and names not in enum_out
+
+
+# ---------------------------------------------------------- trees collapse
+#
+# On a tree, every unvisited vertex next to the visited set has exactly one
+# visited neighbour, so every label holds a single entry and the seven
+# searches fall into three classes.
+
+TREE_CLASSES = (
+    (Paradigm.GS, Paradigm.MCS, Paradigm.MNS),
+    (Paradigm.DFS, Paradigm.LEXDFS),
+    (Paradigm.BFS, Paradigm.LEXBFS),
+)
+
+
+def _assert_searches_collapse(tree):
+    for members in TREE_CLASSES:
+        found = [{o.seq for o in enumerate_orderings(tree, p)} for p in members]
+        assert all(f == found[0] for f in found), (tree.edge_names(), members)
+
+
+def test_searches_collapse_to_three_on_every_tree_up_to_six_vertices():
+    trees = [t for n in range(1, 7) for t in enumerate_labeled_trees(NAMES[:n])]
+    assert len(trees) == 1442  # n^(n-2) summed over n = 1..6
+    for tree in trees:
+        _assert_searches_collapse(tree)
+
+
+def test_searches_collapse_to_three_on_sampled_seven_vertex_trees():
+    universe = universe_of(NAMES[:7])
+    for edges in random.Random(7).sample(list(enumerate_tree_edge_sets(7)), 200):
+        _assert_searches_collapse(Tree(universe, frozenset(edges)))
 
 
 # --------------------------------------------------------------- invariants

@@ -13,7 +13,6 @@ from searchorder import (
     Ordering,
     PARADIGM_PROPERTY,
     Paradigm,
-    bfs_first_vertex_check,
     certify_by_simulation,
     enumerate_orderings,
     generate_ordering,
@@ -81,30 +80,6 @@ def test_mcs_verification_goes_through_simulation():
     assert is_s_ordering(PAW, sigma, Paradigm.MCS) == certify_by_simulation(
         PAW, sigma, Paradigm.MCS
     )
-
-
-# ------------------------------------------------------- first-vertex check
-
-
-def test_first_vertex_check_pins():
-    star = Graph.build("sxyz", [("s", "x"), ("s", "y"), ("s", "z")])
-    assert bfs_first_vertex_check(star, Ordering.from_names(star.universe, "sxyz"))
-    cherry = Graph.build("abc", [("a", "c"), ("b", "c")])
-    # b sits between a and a's neighbour c without touching a
-    assert not bfs_first_vertex_check(
-        cherry, Ordering.from_names(cherry.universe, ("a", "b", "c"))
-    )
-    edge = Graph.build("ab", [("a", "b")])
-    assert bfs_first_vertex_check(edge, Ordering.from_names(edge.universe, ("a", "b")))
-
-
-@given(graphs(min_n=2, max_n=6))
-@settings(max_examples=60, deadline=None)
-def test_first_vertex_check_holds_for_accepted_orderings(g):
-    for paradigm in (Paradigm.BFS, Paradigm.LEXBFS):
-        for start in g.universe.names:
-            sigma = generate_ordering(g, paradigm, start=start)
-            assert bfs_first_vertex_check(g, sigma)
 
 
 # ------------------------------------------------------------- containments
