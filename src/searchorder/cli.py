@@ -40,8 +40,9 @@ def _parse(path: str, parser: Callable[[str], _T]) -> _T:
 
 
 def _dot_id(name: str) -> str:
-    """A vertex name as a quoted DOT ID, in which only '"' is escaped."""
-    return '"' + name.replace('"', '\\"') + '"'
+    """A vertex name as a quoted DOT ID: '"' is escaped, and a final backslash
+    is kept off the closing quote by a backslash-newline continuation."""
+    return '"' + name.replace('"', '\\"') + ("\\\n" if name.endswith("\\") else "") + '"'
 
 
 @click.group()

@@ -49,6 +49,7 @@ from .attachment import (
     forced_subtree,
 )
 from .core import Graph, Profile, Tree, iter_bits
+from .verifiers import FourPointProperty, frontier_check
 
 log = logging.getLogger(__name__)
 
@@ -56,29 +57,6 @@ TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
 RESTRICTION_FAILS = "RESTRICTION_FAILS"
 EMPTY_Q = "EMPTY_Q"
 FINAL_VERIFY_FAILED = "FINAL_VERIFY_FAILED"
-
-
-def is_tree_dfs_ordering(forest: Graph, seq: Sequence[int]) -> bool:
-    """Whether seq, listing once every vertex of the forest that has an
-    edge, is a DFS-ordering of it.
-
-    DFS visits next an unvisited neighbor of the latest visited vertex
-    that still has one, and restarts anywhere when no visited vertex
-    has one. Visited vertices sit on a stack; finished ones are popped
-    as they surface, so the check is linear in the forest's size.
-    """
-    adj = forest._adj
-    unvisited = [len(neighbors) for neighbors in adj]
-    stack: list[int] = []
-    for x in seq:
-        while stack and not unvisited[stack[-1]]:
-            stack.pop()
-        if stack and x not in adj[stack[-1]]:
-            return False
-        for y in adj[x]:
-            unvisited[y] -= 1
-        stack.append(x)
-    return True
 
 
 def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -255,14 +233,14 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     )
 
     if forced_count == profile.universe.n:
-        if forced_is_tree and all(is_tree_dfs_ordering(tstar, seq) for seq in rows):
+        if forced_is_tree and all(frontier_check(tstar, seq, FourPointProperty.D) for seq in rows):
             return RecognitionOutcome(True, tree=Tree(tstar.universe, tstar.edges))
         return RecognitionOutcome(False, reason=TSTAR_NOT_SUPPORT_FULL)
 
     if not forced_is_tree:
         return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
     for seq in rows:
-        if not is_tree_dfs_ordering(tstar, [x for x in seq if forced >> x & 1]):
+        if not frontier_check(tstar, [x for x in seq if forced >> x & 1], FourPointProperty.D):
             return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
 
     q, guiders = candidate_sets(rows, forced, tstar)
@@ -272,7 +250,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
 
     tree = assign_parents(tstar, q)
     for seq in rows:
-        if not is_tree_dfs_ordering(tree, seq):
+        if not frontier_check(tree, seq, FourPointProperty.D):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
             log.warning("assembled tree failed final verification")

@@ -126,6 +126,9 @@ class ReductionInstance:
             instance = reduce(paradigm, bound, source, kappa)
         except ValueError as exc:  # no construction for these fields
             raise FormatError(f"instance metadata: {exc}") from None
+        for key in ("family", "attach"):
+            if _metadata(meta, key, str) != instance.meta()[key]:
+                raise FormatError(f"bad '# {key}:' metadata: expected {instance.meta()[key]}")
         if instance.profile != profile or instance.k != k:
             raise FormatError("instance file does not match its declared construction")
         return instance

@@ -17,15 +17,16 @@ S characterizes generic search, B characterizes BFS, D characterizes
 DFS, LB LexBFS, LD LexDFS, and M MNS. MCS has no such characterization
 and is always checked by simulation.
 
-`certify_by_simulation` replays the ordering step by step against the
-label semantics and is the ground truth for all seven paradigms; the
-four-point checks are the fast path. `is_partial_ordering` decides
-whether a prefix extends to a full ordering by completing it greedily
-and verifying the result.
+`certify_by_simulation` replays the ordering against the label semantics
+and is the ground truth for all seven paradigms. `is_s_ordering` decides
+S, B and D by `frontier_check` in O(n + m), and LB, LD and M by the
+O(n^2)-pair scan of `satisfies_property`, the reference for all six.
+`is_partial_ordering` completes a prefix greedily and verifies the result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from typing import Sequence
 
@@ -116,16 +117,43 @@ def satisfies_property(
     return True, None
 
 
-def is_s_ordering(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
-    """Whether sigma is a valid full ordering of the paradigm.
+def frontier_check(graph: Graph, seq: Sequence[int], prop: FourPointProperty) -> bool:
+    """Whether seq, listing once each vertex of the graph that has an edge,
+    has property S, B or D, in O(n + m) time. Visited vertices sit in a
+    deque; one with no unvisited neighbour left is finished and is dropped
+    as it reaches the front (B), the back (D) or either end (S). While one
+    is unfinished, the next vertex must be adjacent to the front (B), the
+    back (D) or any visited vertex (S), else it starts a new component."""
+    adj = graph._adj
+    unvisited = [len(neighbors) for neighbors in adj]
+    from_front, from_back = prop is not FourPointProperty.D, prop is not FourPointProperty.B
+    anywhere, end = from_front and from_back, 0 if from_front else -1
+    visited: deque[int] = deque()
+    for x in seq:
+        while from_front and visited and not unvisited[visited[0]]:
+            visited.popleft()
+        while from_back and visited and not unvisited[visited[-1]]:
+            visited.pop()
+        if visited and (unvisited[x] == len(adj[x]) if anywhere else x not in adj[visited[end]]):
+            return False
+        for y in adj[x]:
+            unvisited[y] -= 1
+        visited.append(x)
+    return True
 
-    Uses the four-point characterization where one exists; MCS falls
-    back to simulation.
-    """
+
+def is_s_ordering(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
+    """Whether sigma is a valid full ordering of the paradigm: by
+    `frontier_check` for GS, BFS and DFS, by the four-point scan for
+    LexBFS, LexDFS and MNS, and by simulation for MCS."""
     if paradigm is Paradigm.MCS:
         return certify_by_simulation(graph, sigma, paradigm)
-    ok, _ = satisfies_property(graph, sigma, PARADIGM_PROPERTY[paradigm])
-    return ok
+    prop = PARADIGM_PROPERTY[paradigm]
+    if prop in _NEEDS_NONNEIGHBOR_OF_C:  # LB, LD, M: the witness depends on c
+        return satisfies_property(graph, sigma, prop)[0]
+    if not sigma.is_complete or sigma.universe != graph.universe:
+        raise ValueError("ordering must permute the graph's vertex set")
+    return frontier_check(graph, sigma.seq, prop)
 
 
 def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:

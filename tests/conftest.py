@@ -11,16 +11,18 @@ from searchorder import Graph, Profile, Tree
 NAMES = "abcdefgh"
 
 
-def all_connected_graphs(max_n, min_n=1):
-    """Every labeled connected graph on a prefix of NAMES, small n only."""
+def all_graphs(max_n, min_n=1):
+    """Every labeled graph on a prefix of NAMES, small n only."""
     for n in range(min_n, max_n + 1):
         names = NAMES[:n]
         pairs = list(itertools.combinations(names, 2))
         for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g = Graph.build(names, edges)
-            if g.is_connected():
-                yield g
+            yield Graph.build(names, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def all_connected_graphs(max_n, min_n=1):
+    """Every labeled connected graph on a prefix of NAMES, small n only."""
+    return (g for g in all_graphs(max_n, min_n) if g.is_connected())
 
 
 def k4():

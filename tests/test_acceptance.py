@@ -17,6 +17,7 @@ from searchorder import (
     FINAL_VERIFY_FAILED,
     Graph,
     Ordering,
+    PARADIGM_PROPERTY,
     Paradigm,
     Profile,
     all_tree_supports,
@@ -32,6 +33,7 @@ from searchorder import (
     recognize_dfs_tree,
     recognize_gs_tree,
     reduce,
+    satisfies_property,
     validate_forward,
 )
 
@@ -105,11 +107,14 @@ def test_criterion_1_four_point_equals_simulation(connected_corpus):
         for perm in itertools.permutations(g.universe.names):
             sigma = Ordering.from_names(g.universe, perm)
             for paradigm in CHARACTERIZED:
-                assert is_s_ordering(g, sigma, paradigm) == certify_by_simulation(
-                    g, sigma, paradigm
-                ), (g.edge_names(), perm, paradigm)
+                case = (g.edge_names(), perm, paradigm)
+                replays = certify_by_simulation(g, sigma, paradigm)
+                assert is_s_ordering(g, sigma, paradigm) == replays, case
+                ok, _ = satisfies_property(g, sigma, PARADIGM_PROPERTY[paradigm])
+                assert ok == replays, case
                 checked += 1
-    _report(1, f"four-point = simulation on {checked} graph/ordering pairs", t0, 300)
+    _report(1, f"four-point = is_s_ordering = simulation on {checked} graph/ordering pairs",
+            t0, 300)
 
 
 def test_criterion_2_containments(connected_corpus):

@@ -3,7 +3,6 @@
 import contextlib
 import importlib
 import io
-import re
 import string
 from pathlib import Path
 
@@ -113,20 +112,43 @@ def test_attachment_plain_and_dot(files, capsys):
     assert dot.startswith("digraph attachment {") and '"a" -> "b";' in dot
 
 
-# a quoted DOT ID, in which the only escape is \"
-QUOTED_ID = re.compile(r'"((?:[^"\\]|\\.)*)"')
+def _dot_statements(text):
+    """The quoted IDs of each ';'-ended statement, read by DOT's rules for
+    quoted strings: a backslash-quote is a quote, a backslash-newline is
+    dropped, and every other character stands for itself."""
+    statements, ids, i = [], [], 0
+    while i < len(text):
+        if text[i] == ";":
+            statements.append(tuple(ids))
+            ids = []
+        elif text[i] == '"':
+            chars = []
+            i += 1
+            while text[i] != '"':
+                if text[i : i + 2] == '\\"':
+                    chars.append('"')
+                    i += 2
+                elif text[i : i + 2] == "\\\n":
+                    i += 2
+                else:
+                    chars.append(text[i])
+                    i += 1
+            ids.append("".join(chars))
+        i += 1
+    return statements
 
 
 def test_attachment_dot_escapes_quotes_in_names(files, capsys):
-    names = ['a"b', '"c', 'd"', "e"]
+    # a name may end in a backslash, which must not escape the closing quote
+    names = ['a"b', '"c', 'd"', "e", "f\\", 'g\\"h\\\\', "\\"]
     text = "vertices: " + " ".join(names) + "\n"
     text += " ".join(names) + "\n" + " ".join([names[1], names[0], *names[2:]]) + "\n"
     assert run(["attachment", "--profile", files("p.txt", text), "--dot"]) == 0
-    body = capsys.readouterr().out.splitlines()[1:-1]
-    read = [tuple(q.replace('\\"', '"') for q in QUOTED_ID.findall(line)) for line in body]
+    read = _dot_statements(capsys.readouterr().out)
     digraph = build_attachment_digraph(parse_bounded_profile(text)[0])
     assert read == [(v,) for v in digraph.free_names()] + list(digraph.arc_names())
     assert len(read) > len(digraph.free_names()) > 0
+    assert {v for ids in read for v in ids} == set(names)
 
 
 def test_solve_tree(files, capsys):

@@ -23,12 +23,8 @@ from searchorder import (
     satisfies_property,
 )
 from searchorder.core import iter_bits
-from searchorder.dfs_tree import (
-    assign_parents,
-    candidate_sets,
-    is_tree_dfs_ordering,
-    purify,
-)
+from searchorder.dfs_tree import assign_parents, candidate_sets, purify
+from searchorder.verifiers import frontier_check
 
 from conftest import planted_profiles, random_profiles, trees
 
@@ -191,4 +187,4 @@ def test_linear_tree_dfs_check_matches_four_point(tree, data):
     seq = data.draw(st.permutations(range(tree.n)))
     sigma = Ordering(tree.universe, tuple(seq))
     expected, _ = satisfies_property(tree, sigma, FourPointProperty.D)
-    assert is_tree_dfs_ordering(tree, sigma.seq) == expected
+    assert frontier_check(tree, sigma.seq, FourPointProperty.D) == expected

@@ -1,6 +1,7 @@
 """Vertex-cover hardness instance generators and forward validation."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -80,8 +81,8 @@ def test_instance_shapes_on_petersen(key):
     assert (inst.profile.universe.n, len(inst.profile), inst.k) == PETERSEN_PINS[key]
 
 
-# the BFS/LexBFS forward checks run thousands of orderings and live in the
-# acceptance suite; here we validate the fast families
+# the acceptance suite validates every family; here the fast ones, and
+# two of the many-row BFS/LexBFS families below
 @pytest.mark.parametrize(
     "paradigm,bound",
     [
@@ -96,6 +97,13 @@ def test_instance_shapes_on_petersen(key):
 def test_forward_validation_with_minimum_cover(paradigm, bound):
     inst = reduce(paradigm, bound, k4(), 3)
     assert validate_forward(inst, min_vertex_cover(k4()))
+
+
+@pytest.mark.parametrize("paradigm,bound", [(Paradigm.BFS, "deg"), (Paradigm.LEXBFS, "edge")])
+def test_forward_validation_on_many_rows(paradigm, bound):
+    inst = reduce(paradigm, bound, k4(), 3)
+    cover = random.Random(7).choice(list(itertools.combinations("abcd", 3)))
+    assert validate_forward(inst, cover)
 
 
 def test_forward_validation_for_every_minimum_cover():
@@ -201,6 +209,8 @@ DFS_EDGE_K4 = reduce(Paradigm.DFS, "edge", k4(), 3).emit()
         ("paradigm", "gs"),
         ("bound", "edges"),
         ("paradigm", None),
+        ("family", "mns-deg"),
+        ("attach", "q"),
     ],
 )
 def test_tampered_metadata_is_a_format_error_naming_the_field(key, value):

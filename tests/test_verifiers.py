@@ -19,8 +19,9 @@ from searchorder import (
     is_s_ordering,
     satisfies_property,
 )
+from searchorder.verifiers import frontier_check
 
-from conftest import graphs
+from conftest import all_graphs, graphs
 
 PATH3 = Graph.build("abc", [("a", "b"), ("b", "c")])
 PAW = Graph.build("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")])
@@ -52,6 +53,18 @@ def test_first_violating_triple_is_position_lexicographic():
     for prop in (FourPointProperty.S, FourPointProperty.B, FourPointProperty.D):
         ok, triple = satisfies_property(g, sigma, prop)
         assert (ok, triple) == (False, ("a", "b", "c"))
+
+
+def test_frontier_check_equals_four_point_beyond_connected_graphs():
+    # every graph with n <= 4 and every disconnected one with n = 5
+    corpus = [g for g in all_graphs(5) if g.n <= 4 or not g.is_connected()]
+    assert len(corpus) == 75 + 1024 - 728
+    for g in corpus:
+        for perm in itertools.permutations(range(g.n)):
+            sigma = Ordering(g.universe, perm)
+            for prop in (FourPointProperty.S, FourPointProperty.B, FourPointProperty.D):
+                expected, _ = satisfies_property(g, sigma, prop)
+                assert frontier_check(g, perm, prop) == expected, (g.edge_names(), perm, prop)
 
 
 def test_accepting_ordering_reports_no_triple():
