@@ -210,23 +210,15 @@ class Tree(Graph):
 
 @dataclass(frozen=True)
 class Ordering:
-    """A sequence of distinct vertices of a universe, leftmost visited first.
-
-    A *complete* ordering covers the whole universe. An incomplete one
-    arises only from input, such as an ordering given on the command
-    line, and is refused where a complete one is needed.
-    """
+    """A permutation of a universe's vertices, leftmost visited first."""
 
     universe: Universe
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.universe.n
-        if len(set(self.seq)) != len(self.seq):
-            raise ValueError("ordering repeats a vertex")
-        for i in self.seq:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside universe")
+        if len(self.seq) != n or set(self.seq) != set(range(n)):
+            raise ValueError("ordering must list every vertex exactly once")
 
     @classmethod
     def from_names(cls, universe: Universe, names: Sequence[str]) -> Ordering:
@@ -246,24 +238,14 @@ class Ordering:
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
-    @property
-    def is_complete(self) -> bool:
-        return len(self.seq) == self.universe.n
-
-    def __contains__(self, name: str) -> bool:
-        return self.universe.index(name) in self._pos
-
     def position(self, name: str) -> int:
-        """1-based position of `name`; raises if absent."""
-        i = self.universe.index(name)
-        if i not in self._pos:
-            raise ValueError(f"{name!r} does not occur in the ordering")
-        return self._pos[i] + 1
+        """1-based position of `name`."""
+        return self._pos[self.universe.index(name)] + 1
 
 
 @dataclass(frozen=True)
 class Profile:
-    """A non-empty collection of complete orderings over one universe."""
+    """A non-empty collection of orderings over one universe."""
 
     universe: Universe
     orderings: tuple[Ordering, ...]
@@ -274,8 +256,6 @@ class Profile:
         for o in self.orderings:
             if o.universe != self.universe:
                 raise ValueError("ordering universe mismatch")
-            if not o.is_complete:
-                raise ValueError("profiles contain complete orderings only")
 
     @classmethod
     def build(cls, names: Iterable[str], rows: Iterable[Sequence[str]]) -> Profile:
@@ -355,15 +335,11 @@ def parse_bounded_profile(text: str) -> tuple[Profile, int | None]:
         raise FormatError("profile has no orderings")
     rows = []
     for line in rest:
-        toks = line.split()
-        if sorted(toks) != sorted(uni.names):
-            raise FormatError(f"line is not a permutation of the universe: {line!r}")
-        rows.append(toks)
-    try:
-        profile = Profile.build(uni.names, rows)
-    except KeyError as exc:
-        raise FormatError(str(exc)) from None
-    return profile, k
+        try:
+            rows.append(Ordering.from_names(uni, line.split()))
+        except (KeyError, ValueError):  # unknown, missing or repeated vertex
+            raise FormatError(f"line is not a permutation of the universe: {line!r}") from None
+    return Profile(uni, tuple(rows)), k
 
 
 def emit_profile(p: Profile, k: int | None = None, meta: dict[str, str] | None = None) -> str:

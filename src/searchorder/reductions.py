@@ -117,7 +117,7 @@ class ReductionInstance:
                 key, _, value = line[1:].partition(":")
                 meta[key.strip()] = value.strip()
         profile, k = parse_bounded_profile(text)
-        paradigm = _metadata(meta, "paradigm", Paradigm.from_name)
+        paradigm = _metadata(meta, "paradigm", Paradigm)
         bound = _metadata(meta, "bound", str)
         kappa = _metadata(meta, "kappa", int)
         empty = _metadata(meta, "source-vertices", lambda v: Graph.build(v.split()))

@@ -44,14 +44,6 @@ class Paradigm(Enum):
     MCS = "mcs"
     MNS = "mns"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Paradigm":
-        key = name.strip().lower().replace("-", "").replace("_", "")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"unknown paradigm {name!r}")
-
     def __str__(self) -> str:
         return self.value
 
@@ -156,22 +148,27 @@ def enumerate_orderings(
     if graph.n > cap:
         raise CapError(f"enumeration needs n <= {cap}, got n = {graph.n}")
     out: list[Ordering] = []
-    uni = graph.universe
-    n = graph.n
-    prefix: list[int] = []
+    # an explicit stack of (prefix, state, untried candidates, largest
+    # first): a path of a thousand vertices would overflow Python's
+    # recursion limit
+    stack: list[tuple[tuple[int, ...], LabelState, list[int]]] = []
 
-    def rec(state: LabelState) -> None:
-        if len(prefix) == n:
-            out.append(Ordering(uni, tuple(prefix)))
-            return
-        for v in state.candidates():
-            nxt = state.copy()
-            nxt.advance(v)
-            prefix.append(v)
-            rec(nxt)
-            prefix.pop()
+    def settle(prefix: tuple[int, ...], state: LabelState) -> None:
+        if len(prefix) == graph.n:
+            out.append(Ordering(graph.universe, prefix))
+        else:
+            stack.append((prefix, state, state.candidates()[::-1]))
 
-    rec(LabelState(graph._adj, paradigm))
+    settle((), LabelState(graph._adj, paradigm))
+    while stack:
+        prefix, state, untried = stack[-1]
+        v = untried.pop()
+        if untried:
+            state = state.copy()
+        else:  # the last branch takes the state over
+            stack.pop()
+        state.advance(v)
+        settle(prefix + (v,), state)
     return tuple(out)
 
 

@@ -45,6 +45,13 @@ def test_verify_no_reports_triple(files, capsys):
     assert capsys.readouterr().out == "NO\nviolating triple: a c b\n"
 
 
+def test_verify_lexbfs_no_reports_triple(files, capsys):
+    code = run(["verify", "--paradigm", "lexbfs", "--graph", files("g.txt", C4),
+                "--ordering", "a c b d"])
+    assert code == 1
+    assert capsys.readouterr().out == "NO\nviolating triple: a c b\n"
+
+
 def test_verify_mcs_has_no_triple_diagnostic(files, capsys):
     code = run(["verify", "--paradigm", "mcs", "--graph", files("g.txt", PATH3),
                 "--ordering", "a c b"])
@@ -52,9 +59,12 @@ def test_verify_mcs_has_no_triple_diagnostic(files, capsys):
     assert capsys.readouterr().out == "NO\n"
 
 
-def test_verify_rejects_partial_orderings(files):
-    assert run(["verify", "--paradigm", "bfs", "--graph", files("g.txt", PATH3),
-                "--ordering", "a b"]) == 2
+def test_verify_rejects_partial_orderings(files, capsys):
+    graph = files("g.txt", PATH3)
+    for ordering in ("a b", "a a c"):  # a vertex missing, a vertex repeated
+        assert run(["verify", "--paradigm", "bfs", "--graph", graph,
+                    "--ordering", ordering]) == 2
+        assert capsys.readouterr().err == "error: ordering must list every vertex exactly once\n"
 
 
 def test_generate(files, capsys):

@@ -108,13 +108,15 @@ def test_tree_rejects_cycles_and_forests():
 def test_ordering_positions_are_one_based():
     o = Ordering.from_names(universe_of("abc"), ("b", "a", "c"))
     assert o.position("b") == 1 and o.position("c") == 3
-    assert len(o) == 3 and o.is_complete
+    assert len(o) == o.universe.n == 3
 
 
 def test_ordering_rejects_repeats_and_strangers():
     uni = universe_of("abc")
     with pytest.raises(ValueError):
         Ordering.from_names(uni, ("a", "a", "b"))
+    with pytest.raises(ValueError, match="ordering must list every vertex exactly once"):
+        Ordering.from_names(uni, ("a", "b"))
     with pytest.raises(KeyError):
         Ordering.from_names(uni, ("a", "x", "b"))
 

@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from searchorder import (
+    PARADIGM_PROPERTY,
     FormatError,
     Graph,
+    Ordering,
     Paradigm,
     ReductionInstance,
     build_drone,
+    is_s_ordering,
     min_vertex_cover,
     parse_bounded_profile,
     reduce,
+    satisfies_property,
     validate_forward,
 )
 from searchorder.reductions import ATTACH_VERTEX
@@ -110,6 +114,32 @@ def test_forward_validation_for_every_minimum_cover():
     inst = reduce(Paradigm.DFS, "edge", k4(), 3)
     for cover in itertools.combinations("abcd", 3):
         assert validate_forward(inst, cover)
+
+
+@pytest.mark.parametrize("paradigm,bound,source,kappa", [
+    (Paradigm.LEXBFS, "edge", k4(), 3),
+    (Paradigm.LEXDFS, "edge", petersen(), 6),
+    (Paradigm.MNS, "deg", k4(), 3),
+], ids=["lexbfs-edge", "lexdfs-edge", "mns-deg"])
+def test_perturbed_rows_verify_as_the_four_point_scan_says(paradigm, bound, source, kappa):
+    # the support validate_forward builds, and rows with one adjacent pair
+    # swapped; some stay orderings of the paradigm and some do not, and 100
+    # rows hold some on which BFS, DFS or GS answers differently
+    inst = reduce(paradigm, bound, source, kappa)
+    cover = min_vertex_cover(source)
+    support = inst.gadget.with_edges(
+        (ATTACH_VERTEX, f"v{source.universe.index(v) + 1}") for v in cover)
+    rng = random.Random(8)
+    answers = set()
+    for sigma in rng.sample(inst.profile.orderings, 100):
+        seq = list(sigma.seq)
+        i = rng.randrange(len(seq) - 1)
+        seq[i], seq[i + 1] = seq[i + 1], seq[i]
+        swapped = Ordering(support.universe, tuple(seq))
+        expected, _ = satisfies_property(support, swapped, PARADIGM_PROPERTY[paradigm])
+        assert is_s_ordering(support, swapped, paradigm) == expected, (sigma.names, i)
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_lexdfs_edge_bound_validates_on_petersen():
@@ -207,6 +237,7 @@ DFS_EDGE_K4 = reduce(Paradigm.DFS, "edge", k4(), 3).emit()
         ("kappa", "1"),
         ("paradigm", "depth"),
         ("paradigm", "gs"),
+        ("paradigm", "DFS"),
         ("bound", "edges"),
         ("paradigm", None),
         ("family", "mns-deg"),

@@ -1,7 +1,9 @@
 """Generation, enumeration and prefix handling for the seven paradigms."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -97,10 +99,24 @@ def test_enumeration_cap():
     assert len(enumerate_orderings(big, Paradigm.BFS, cap=9)) > 0
 
 
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # DFS on a path: two runs from each inner vertex, one from each end
+    names = [f"p{i}" for i in range(80)]
+    path = Graph.build(names, list(zip(names, names[1:])))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        orderings = enumerate_orderings(path, Paradigm.DFS, cap=80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(orderings) == 158
+    assert orderings[0].names == tuple(names)
+
+
 def test_complete_prefix_keeps_the_prefix():
     done = complete_prefix(PATH3, ("c", "a"), Paradigm.DFS)
     assert done.names[:2] == ("c", "a")
-    assert done.is_complete
+    assert len(done) == done.universe.n
 
 
 @pytest.mark.parametrize("prefix", [("a", "a"), ("a", "b", "a")])

@@ -55,16 +55,31 @@ def test_first_violating_triple_is_position_lexicographic():
         assert (ok, triple) == (False, ("a", "b", "c"))
 
 
-def test_frontier_check_equals_four_point_beyond_connected_graphs():
-    # every graph with n <= 4 and every disconnected one with n = 5
+def beyond_connected():
+    """Every graph with n <= 4 and every disconnected one with n = 5: the
+    acceptance sweep covers the connected ones."""
     corpus = [g for g in all_graphs(5) if g.n <= 4 or not g.is_connected()]
     assert len(corpus) == 75 + 1024 - 728
-    for g in corpus:
+    return corpus
+
+
+def test_frontier_check_equals_four_point_beyond_connected_graphs():
+    for g in beyond_connected():
         for perm in itertools.permutations(range(g.n)):
             sigma = Ordering(g.universe, perm)
             for prop in (FourPointProperty.S, FourPointProperty.B, FourPointProperty.D):
                 expected, _ = satisfies_property(g, sigma, prop)
                 assert frontier_check(g, perm, prop) == expected, (g.edge_names(), perm, prop)
+
+
+def test_simulation_equals_four_point_beyond_connected_graphs():
+    for g in beyond_connected():
+        for perm in itertools.permutations(range(g.n)):
+            sigma = Ordering(g.universe, perm)
+            for paradigm in (Paradigm.LEXBFS, Paradigm.LEXDFS, Paradigm.MNS):
+                expected, _ = satisfies_property(g, sigma, PARADIGM_PROPERTY[paradigm])
+                assert certify_by_simulation(g, sigma, paradigm) == expected, (
+                    g.edge_names(), perm, paradigm)
 
 
 def test_accepting_ordering_reports_no_triple():
