@@ -5,17 +5,18 @@ errors. `run` is the only entry point (of the `searchorder` script and
 of `python -m searchorder`) and the only place where an error becomes
 exit code 2: the commands call the library directly, and what it raises
 on bad input is printed as `error: <message>`.
+
+A command imports the modules it runs when it runs, so a call loads
+only `core`, `traversals` and what its own command needs.
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-import click
-
-from . import attachment as attachment_mod
-from . import dfs_tree, oracles, reductions
 from .core import CapError, FormatError, Ordering, parse_bounded_profile, parse_graph
 from .traversals import (
     DEFAULT_ENUMERATION_CAP,
@@ -23,7 +24,6 @@ from .traversals import (
     enumerate_orderings,
     generate_ordering,
 )
-from .verifiers import PARADIGM_PROPERTY, is_s_ordering, satisfies_property
 
 _PARADIGM_CHOICES = [p.value for p in Paradigm]
 
@@ -45,151 +45,200 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace('"', '\\"') + ("\\\n" if name.endswith("\\") else "") + '"'
 
 
-@click.group()
-def main() -> None:
-    """Graph-search orderings: verify, generate, enumerate, recognize."""
-
-
-@main.command()
-@click.option("--paradigm", required=True, type=click.Choice(_PARADIGM_CHOICES))
-@click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--ordering", required=True,
-              help="Space-separated vertex names, leftmost visited first.")
-def verify(paradigm: str, graph_path: str, ordering: str) -> int:
+def verify(args: argparse.Namespace) -> int:
     """Check whether an ordering is a valid search ordering."""
-    para = Paradigm(paradigm)
-    graph = _parse(graph_path, parse_graph)
-    sigma = Ordering.from_names(graph.universe, ordering.split())
+    from .verifiers import PARADIGM_PROPERTY, is_s_ordering, satisfies_property
+
+    para = Paradigm(args.paradigm)
+    graph = _parse(args.graph, parse_graph)
+    sigma = Ordering.from_names(graph.universe, args.ordering.split())
     if is_s_ordering(graph, sigma, para):
-        click.echo("YES")
+        print("YES")
         return 0
-    click.echo("NO")
+    print("NO")
     if para in PARADIGM_PROPERTY:  # every paradigm but MCS names a violating triple
         _, violation = satisfies_property(graph, sigma, PARADIGM_PROPERTY[para])
-        click.echo("violating triple: " + " ".join(violation))
+        print("violating triple: " + " ".join(violation))
     return 1
 
 
-@main.command()
-@click.option("--paradigm", required=True, type=click.Choice(_PARADIGM_CHOICES))
-@click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--start", default=None, help="Vertex to visit first.")
-def generate(paradigm: str, graph_path: str, start: str | None) -> None:
+def generate(args: argparse.Namespace) -> int:
     """Produce one deterministic search ordering."""
-    graph = _parse(graph_path, parse_graph)
-    sigma = generate_ordering(graph, Paradigm(paradigm), start=start)
-    click.echo(" ".join(sigma.names))
+    graph = _parse(args.graph, parse_graph)
+    sigma = generate_ordering(graph, Paradigm(args.paradigm), start=args.start)
+    print(" ".join(sigma.names))
+    return 0
 
 
-@main.command("enumerate")
-@click.option("--paradigm", required=True, type=click.Choice(_PARADIGM_CHOICES))
-@click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True,
-              help="Refuse graphs with more vertices than this.")
-def enumerate_cmd(paradigm: str, graph_path: str, cap: int) -> None:
+def enumerate_cmd(args: argparse.Namespace) -> int:
     """List every ordering the paradigm can produce, one per line."""
-    graph = _parse(graph_path, parse_graph)
-    for sigma in enumerate_orderings(graph, Paradigm(paradigm), cap=cap):
-        click.echo(" ".join(sigma.names))
+    graph = _parse(args.graph, parse_graph)
+    for sigma in enumerate_orderings(graph, Paradigm(args.paradigm), cap=args.cap):
+        print(" ".join(sigma.names))
+    return 0
 
 
-@main.command()
-@click.option("--paradigm", required=True,
-              type=click.Choice(["dfs-tree", "gs-tree"]))
-@click.option("--profile", "profile_path", required=True, type=click.Path())
-def recognize(paradigm: str, profile_path: str) -> int:
+def recognize(args: argparse.Namespace) -> int:
     """Decide tree-support existence; print a witness tree on YES."""
-    profile, _ = _parse(profile_path, parse_bounded_profile)
-    recognizer = (
-        dfs_tree.recognize_dfs_tree if paradigm == "dfs-tree" else attachment_mod.recognize_gs_tree
-    )
+    profile, _ = _parse(args.profile, parse_bounded_profile)
+    if args.paradigm == "dfs-tree":
+        from .dfs_tree import recognize_dfs_tree as recognizer
+    else:
+        from .attachment import recognize_gs_tree as recognizer
     outcome = recognizer(profile)
     if not outcome.is_yes:
-        click.echo(f"NO {outcome.reason}")
+        print(f"NO {outcome.reason}")
         return 1
-    click.echo("YES")
+    print("YES")
     for a, b in outcome.tree.edge_names():
-        click.echo(f"{a} {b}")
+        print(f"{a} {b}")
     return 0
 
 
-@main.command()
-@click.option("--profile", "profile_path", required=True, type=click.Path())
-@click.option("--dot", is_flag=True, help="Emit GraphViz DOT instead of plain arcs.")
-def attachment(profile_path: str, dot: bool) -> None:
+def attachment(args: argparse.Namespace) -> int:
     """Print the attachment digraph of a profile."""
-    profile, _ = _parse(profile_path, parse_bounded_profile)
-    digraph = attachment_mod.build_attachment_digraph(profile)
-    if dot:
-        click.echo("digraph attachment {")
+    from .attachment import build_attachment_digraph
+
+    profile, _ = _parse(args.profile, parse_bounded_profile)
+    digraph = build_attachment_digraph(profile)
+    if args.dot:
+        print("digraph attachment {")
         for v in digraph.free_names():
-            click.echo(f"  {_dot_id(v)} [shape=doublecircle];")
+            print(f"  {_dot_id(v)} [shape=doublecircle];")
         for a, b in digraph.arc_names():
-            click.echo(f"  {_dot_id(a)} -> {_dot_id(b)};")
-        click.echo("}")
-        return
+            print(f"  {_dot_id(a)} -> {_dot_id(b)};")
+        print("}")
+        return 0
     for a, b in digraph.arc_names():
-        click.echo(f"{a} -> {b}")
-    click.echo("forced: " + " ".join(digraph.forced_names()))
-    click.echo("free: " + " ".join(digraph.free_names()))
+        print(f"{a} -> {b}")
+    print("forced: " + " ".join(digraph.forced_names()))
+    print("free: " + " ".join(digraph.free_names()))
+    return 0
 
 
-@main.command()
-@click.option("--problem", required=True, type=click.Choice(["tree", "edge", "deg"]))
-@click.option("--paradigm", required=True, type=click.Choice(_PARADIGM_CHOICES))
-@click.option("--profile", "profile_path", required=True, type=click.Path())
-@click.option("--k", "k_opt", type=int, default=None,
-              help="Bound for edge/deg problems; defaults to a 'k:' header "
-                   "in the profile file if present.")
-def solve(problem: str, paradigm: str, profile_path: str, k_opt: int | None) -> int:
+def solve(args: argparse.Namespace) -> int:
     """Exact small-scale solver for the support decision problems."""
-    profile, file_k = _parse(profile_path, parse_bounded_profile)
-    if problem == "tree":
+    from . import oracles
+
+    profile, file_k = _parse(args.profile, parse_bounded_profile)
+    if args.problem == "tree":
         kind: oracles.ProblemKind = oracles.TreeSupport()
     else:
-        k = k_opt if k_opt is not None else file_k
+        k = args.k if args.k is not None else file_k
         if k is None:
-            raise click.UsageError("--k is required for edge/deg problems")
-        kind = oracles.EdgeBounded(k) if problem == "edge" else oracles.DegBounded(k)
-    result = oracles.brute_force_graph_support(profile, Paradigm(paradigm), kind)
+            args.parser.error("--k is required for edge/deg problems")
+        kind = oracles.EdgeBounded(k) if args.problem == "edge" else oracles.DegBounded(k)
+    result = oracles.brute_force_graph_support(profile, Paradigm(args.paradigm), kind)
     if not result.is_yes:
-        click.echo("NO")
+        print("NO")
         return 1
-    click.echo("YES")
+    print("YES")
     for a, b in result.witness.edge_names():
-        click.echo(f"{a} {b}")
+        print(f"{a} {b}")
     return 0
 
 
-@main.command()
-@click.option("--paradigm", required=True,
-              type=click.Choice([p.value for p in Paradigm if p is not Paradigm.GS]))
-@click.option("--bound", required=True, type=click.Choice([reductions.EDGE, reductions.DEG]))
-@click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--kappa", required=True, type=int)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def reduce(paradigm: str, bound: str, graph_path: str, kappa: int, out_path: str) -> None:
+def reduce(args: argparse.Namespace) -> int:
     """Write a Vertex-Cover hardness instance for the paradigm."""
-    source = _parse(graph_path, parse_graph)
-    instance = reductions.reduce(Paradigm(paradigm), bound, source, kappa)
-    Path(out_path).write_text(instance.emit())
-    click.echo(
+    from . import reductions
+
+    source = _parse(args.graph, parse_graph)
+    instance = reductions.reduce(Paradigm(args.paradigm), args.bound, source, args.kappa)
+    Path(args.out).write_text(instance.emit())
+    print(
         f"wrote {len(instance.profile)} orderings over "
         f"{instance.profile.universe.n} vertices, k={instance.k}"
     )
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="searchorder", allow_abbrev=False,
+        description="Graph-search orderings: verify, generate, enumerate, recognize.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name: str, run_command: Callable[[argparse.Namespace], int]):
+        sub = commands.add_parser(name, allow_abbrev=False, help=run_command.__doc__,
+                                  description=run_command.__doc__)
+        sub.set_defaults(run_command=run_command, parser=sub)
+        return sub
+
+    def paradigm(sub: argparse.ArgumentParser, choices: Sequence[str] = _PARADIGM_CHOICES):
+        sub.add_argument("--paradigm", required=True, choices=choices)
+
+    sub = command("verify", verify)
+    paradigm(sub)
+    sub.add_argument("--graph", required=True)
+    sub.add_argument("--ordering", required=True,
+                     help="Space-separated vertex names, leftmost visited first.")
+
+    sub = command("generate", generate)
+    paradigm(sub)
+    sub.add_argument("--graph", required=True)
+    sub.add_argument("--start", help="Vertex to visit first.")
+
+    sub = command("enumerate", enumerate_cmd)
+    paradigm(sub)
+    sub.add_argument("--graph", required=True)
+    sub.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                     help="Refuse graphs with more vertices than this (default: %(default)s).")
+
+    sub = command("recognize", recognize)
+    paradigm(sub, ["dfs-tree", "gs-tree"])
+    sub.add_argument("--profile", required=True)
+
+    sub = command("attachment", attachment)
+    sub.add_argument("--profile", required=True)
+    sub.add_argument("--dot", action="store_true",
+                     help="Emit GraphViz DOT instead of plain arcs.")
+
+    sub = command("solve", solve)
+    sub.add_argument("--problem", required=True, choices=["tree", "edge", "deg"])
+    paradigm(sub)
+    sub.add_argument("--profile", required=True)
+    sub.add_argument("--k", type=int,
+                     help="Bound for edge/deg problems; defaults to a 'k:' header "
+                          "in the profile file if present.")
+
+    sub = command("reduce", reduce)
+    # every paradigm but GS has a reduction; the bounds are reductions.EDGE and DEG
+    paradigm(sub, [p.value for p in Paradigm if p is not Paradigm.GS])
+    sub.add_argument("--bound", required=True, choices=["edge", "deg"])
+    sub.add_argument("--graph", required=True)
+    sub.add_argument("--kappa", required=True, type=int)
+    sub.add_argument("--out", required=True)
+    return parser
+
+
+def _bind_values(argv: Sequence[str]) -> list[str]:
+    """Join each option but the flags `--dot` and `--help` to the token
+    after it, as `--opt=value`.
+
+    A vertex name or a path may begin with '-', and argparse binds such a
+    token to the option before it only in the `--opt=value` form.
+    """
+    bound: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--") and token not in ("--", "--dot", "--help") and "=" not in token:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        bound.append(token)
+    return bound
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command line; returns the exit code."""
     try:
-        rv = main.main(args=list(argv) if argv is not None else None,
-                       standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
+        args = _parser().parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
+        return args.run_command(args)
+    except SystemExit as exc:  # argparse exits after --help and on a usage error
+        return 0 if exc.code is None else exc.code
     except (FormatError, CapError, OSError, ValueError, KeyError) as exc:
         # a KeyError's str() is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        click.echo(f"error: {message}", err=True)
+        print(f"error: {message}", file=sys.stderr)
         return 2
-    return rv if isinstance(rv, int) else 0

@@ -65,7 +65,10 @@ class Universe:
         return self.names[i]
 
     def indices(self, names: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.index(v) for v in names)
+        try:
+            return tuple(map(self._index_map.__getitem__, names))
+        except KeyError as exc:
+            raise KeyError(f"unknown vertex {exc.args[0]!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._index_map
@@ -222,7 +225,7 @@ class Ordering:
 
     @classmethod
     def from_names(cls, universe: Universe, names: Sequence[str]) -> Ordering:
-        return cls(universe, tuple(universe.index(v) for v in names))
+        return cls(universe, universe.indices(names))
 
     @cached_property
     def names(self) -> tuple[str, ...]:

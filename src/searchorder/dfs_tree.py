@@ -37,7 +37,7 @@ Free vertices are always leaves of the constructed tree.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from collections import deque
 from itertools import accumulate
 from typing import Sequence
@@ -50,8 +50,6 @@ from .attachment import (
 )
 from .core import Graph, Profile, Tree, iter_bits
 from .verifiers import FourPointProperty, frontier_check
-
-log = logging.getLogger(__name__)
 
 TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
 RESTRICTION_FAILS = "RESTRICTION_FAILS"
@@ -253,6 +251,6 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
         if not frontier_check(tree, seq, FourPointProperty.D):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
-            log.warning("assembled tree failed final verification")
+            warnings.warn("assembled tree failed final verification", RuntimeWarning)
             return RecognitionOutcome(False, reason=FINAL_VERIFY_FAILED)
     return RecognitionOutcome(True, tree=tree)

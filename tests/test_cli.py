@@ -3,13 +3,17 @@
 import contextlib
 import importlib
 import io
+import os
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import searchorder
 from searchorder import Paradigm, build_attachment_digraph, parse_bounded_profile
 from searchorder.cli import run
 
@@ -73,6 +77,12 @@ def test_generate(files, capsys):
     assert run(["generate", "--paradigm", "bfs", "--graph", files("c4.txt", C4),
                 "--start", "c"]) == 0
     assert capsys.readouterr().out == "c b d a\n"
+
+
+def test_values_may_begin_with_a_dash(files, capsys, monkeypatch):
+    monkeypatch.chdir(Path(files("-g.txt", "vertices: -x b\n-x b\n")).parent)
+    assert run(["generate", "--paradigm", "bfs", "--graph", "-g.txt", "--start", "-x"]) == 0
+    assert capsys.readouterr().out == "-x b\n"
 
 
 def test_generate_unknown_start(files):
@@ -209,6 +219,35 @@ def test_reduce_rejects_bad_kappa(files, tmp_path):
                 "--out", str(tmp_path / "x.txt")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["generate", "--paradigm", "bfs", "--graph", "g.txt", "--colour", "red"],
+    ["generate", "--para", "bfs", "--graph", "g.txt"],
+    ["generate", "--paradigm", "bfs"],
+    ["generate", "--paradigm", "bfs", "--graph"],
+    ["recognize", "--paradigm", "bfs", "--profile", "p.txt"],
+    ["solve", "--problem", "edge", "--paradigm", "gs", "--profile", "p.txt", "--k", "two"],
+    ["reduce", "--paradigm", "dfs", "--bound", "edge", "--graph", "g.txt", "--kappa", "3.5",
+     "--out", "x.txt"],
+    ["enumerate", "--paradigm", "dfs", "--graph", "g.txt", "--cap", ""],
+    ["solve", "--problem", "edge", "--paradigm", "gs", "--profile", "p.txt"],
+], ids=["empty", "unknown-command", "unknown-option", "abbreviated-option",
+        "missing-option", "missing-value", "bad-choice", "bad-k", "bad-kappa", "bad-cap", "no-bound"])
+def test_usage_errors_print_usage_on_stderr_only(files, capsys, monkeypatch, argv):
+    monkeypatch.chdir(Path(files("g.txt", PATH3)).parent)
+    files("p.txt", "vertices: a b c\na b c\n")  # no 'k:' header
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: searchorder")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: searchorder")
+
+
 def test_usage_errors_exit_2(files, tmp_path):
     assert run(["verify", "--paradigm", "bfs", "--graph", str(tmp_path / "missing.txt"),
                 "--ordering", "a b"]) == 2
@@ -226,6 +265,23 @@ def test_console_script_is_run():
     assert getattr(importlib.import_module(module), attr) is run
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["recognize", "--paradigm", "dfs-tree", "--profile", "pair.txt"],
+    ["recognize", "--paradigm", "dfs-tree", "--profile", "split.txt"],
+    ["recognize", "--paradigm", "bfs", "--profile", "pair.txt"],
+], ids=["help", "yes", "no", "usage"])
+def test_module_run_as_a_program_matches_run(files, capsys, monkeypatch, argv):
+    workdir = Path(files("pair.txt", PAIR_PROFILE)).parent
+    files("split.txt", SPLIT_PROFILE)
+    src = Path(searchorder.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "searchorder", *argv], cwd=workdir,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    monkeypatch.chdir(workdir)
+    assert (done.returncode, done.stdout) == (run(argv), capsys.readouterr().out)
+
+
 def test_negative_bound_is_an_input_error(files, capsys):
     assert run(["solve", "--problem", "deg", "--paradigm", "gs",
                 "--profile", files("p.txt", PAIR_PROFILE), "--k", "-1"]) == 2
@@ -233,9 +289,11 @@ def test_negative_bound_is_an_input_error(files, capsys):
 
 
 def test_unknown_vertex_message_is_unquoted(files, capsys):
-    assert run(["generate", "--paradigm", "bfs", "--graph", files("g.txt", PATH3),
-                "--start", "z"]) == 2
-    assert capsys.readouterr().err == "error: unknown vertex 'z'\n"
+    graph = files("g.txt", PATH3)
+    for command in (["generate", "--paradigm", "bfs", "--graph", graph, "--start", "z"],
+                    ["verify", "--paradigm", "bfs", "--graph", graph, "--ordering", "a z"]):
+        assert run(command) == 2
+        assert capsys.readouterr().err == "error: unknown vertex 'z'\n"
 
 
 @pytest.mark.parametrize("command, text, message", [

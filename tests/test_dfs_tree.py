@@ -13,6 +13,7 @@ from searchorder import (
     Profile,
     RESTRICTION_FAILS,
     TSTAR_NOT_SUPPORT_FULL,
+    Tree,
     brute_force_tree_support,
     build_attachment_digraph,
     certify_by_simulation,
@@ -22,6 +23,7 @@ from searchorder import (
     recognize_gs_tree,
     satisfies_property,
 )
+from searchorder import dfs_tree
 from searchorder.core import iter_bits
 from searchorder.dfs_tree import assign_parents, candidate_sets, purify
 from searchorder.verifiers import frontier_check
@@ -188,3 +190,15 @@ def test_linear_tree_dfs_check_matches_four_point(tree, data):
     sigma = Ordering(tree.universe, tuple(seq))
     expected, _ = satisfies_property(tree, sigma, FourPointProperty.D)
     assert frontier_check(tree, sigma.seq, FourPointProperty.D) == expected
+
+
+def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
+    # the branch is dead for a correct assign_parents; force it with a star
+    # on 'e', on which no row starting elsewhere grows connected
+    def star_on_e(tstar, q):
+        return Tree.build(tstar.universe.names, [("e", v) for v in "abcd"])
+
+    monkeypatch.setattr(dfs_tree, "assign_parents", star_on_e)
+    with pytest.warns(RuntimeWarning, match="assembled tree failed final verification"):
+        out = recognize_dfs_tree(YES_PATH)
+    assert (out.is_yes, out.reason) == (False, FINAL_VERIFY_FAILED)

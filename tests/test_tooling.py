@@ -1,12 +1,16 @@
 """Hygiene checks that stand in for a linter: the public API resolves
-and matches the README's list, no package module imports a name it
-never uses, no private name is left without a user, and the shared test
-corpora refuse requests they cannot meet."""
+and matches the README's list, importing the package or its CLI loads
+only what it must, no package module imports a name it never uses, no
+private name is left without a user, and the shared test corpora refuse
+requests they cannot meet."""
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,13 +19,18 @@ import searchorder
 
 from conftest import random_profiles
 
-MODULES = sorted(Path(searchorder.__file__).parent.glob("*.py"))
+PACKAGE = Path(searchorder.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_public_name_resolves():
     assert len(set(searchorder.__all__)) == len(searchorder.__all__)
     assert [name for name in searchorder.__all__ if not hasattr(searchorder, name)] == []
+    assert not hasattr(searchorder, "no_such_name")
+    namespace = {}
+    exec("from searchorder import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(searchorder.__all__)
 
 
 def _readme_api():
@@ -49,6 +58,25 @@ def test_readme_groups_names_by_their_defining_module():
             obj = getattr(mod, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__module__ == mod.__name__, name
+
+
+def _modules_loaded_by(statement):
+    """The names in sys.modules after a fresh interpreter runs statement."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_imports_load_only_what_they_need():
+    loaded = _modules_loaded_by("import searchorder")
+    assert {m for m in loaded if m.startswith("searchorder.")} == set()
+    loaded = _modules_loaded_by("import searchorder.cli")
+    assert {m for m in loaded if m.startswith("searchorder.")} == {
+        "searchorder.cli", "searchorder.core", "searchorder.traversals"}
+    assert not loaded & {"click", "logging"}
 
 
 def _unused_imports(path):
