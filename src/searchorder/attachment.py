@@ -30,25 +30,24 @@ words per mask:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable
 
-from .core import CapError, Graph, Ordering, Profile, Tree, Universe, iter_bits
+from .core import CapError, Graph, Ordering, Profile, Tree, Universe, Value, iter_bits
 
 DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 UNREALIZABLE_ATTACHMENT = "UNREALIZABLE_ATTACHMENT"
 FREE_VERTEX_CAP = 12
 
 
-@dataclass(frozen=True)
-class RecognitionOutcome:
+class RecognitionOutcome(Value):
     """A recognizer's answer: a witness tree on YES, a reason code on NO."""
 
-    is_yes: bool
-    tree: Tree | None = None
-    reason: str | None = None
+    _fields = ("is_yes", "tree", "reason")
+
+    def __init__(self, is_yes: bool, tree: Tree | None = None, reason: str | None = None) -> None:
+        self.__dict__.update(is_yes=is_yes, tree=tree, reason=reason)
 
 
 def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
@@ -69,12 +68,13 @@ def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
     return frozenset(y for y in members if sigma.position(y) < px)
 
 
-@dataclass(frozen=True)
-class AttachmentDigraph:
+class AttachmentDigraph(Value):
     """out_masks[v] holds v's out-neighbors."""
 
-    universe: Universe
-    out_masks: tuple[int, ...]
+    _fields = ("universe", "out_masks")
+
+    def __init__(self, universe: Universe, out_masks: tuple[int, ...]) -> None:
+        self.__dict__.update(universe=universe, out_masks=out_masks)
 
     @cached_property
     def forced_mask(self) -> int:
@@ -85,7 +85,8 @@ class AttachmentDigraph:
         return mask
 
     def _names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.universe.name(v) for v in iter_bits(mask))
+        names = self.universe.names
+        return tuple([names[v] for v in iter_bits(mask)])
 
     def forced_names(self) -> tuple[str, ...]:
         return self._names(self.forced_mask)
@@ -105,8 +106,8 @@ class AttachmentDigraph:
 
     def arc_names(self) -> tuple[tuple[str, str], ...]:
         """Arcs as name pairs, sorted by index pair."""
-        name = self.universe.name
-        return tuple((name(v), name(u)) for v, u in self.index_arcs())
+        names = self.universe.names
+        return tuple([(names[v], names[u]) for v, u in self.index_arcs()])
 
     @property
     def arcs(self) -> frozenset[tuple[str, str]]:

@@ -1,16 +1,16 @@
 """Value types shared across the package: vertex universes, graphs,
 orderings, profiles, and trees, plus the text file formats.
 
-All values are immutable. Vertices are referred to by name in every
-public interface; the dense 0-based index of a vertex inside its
-universe is an internal detail (positions reported to users are
-1-based). Two values are equal iff they agree on names, name order,
-and structure.
+All values are immutable: each value type is a `Value`, whose fields
+are set once by its constructor and decide equality, hashing and repr.
+Vertices are referred to by name in every public interface; the dense
+0-based index of a vertex inside its universe is an internal detail
+(positions reported to users are 1-based). Two values are equal iff
+they agree on names, name order, and structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -35,17 +35,49 @@ def _check_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Universe:
+class Value:
+    """An immutable value. A subclass names its fields in `_fields`, and its
+    `__init__` writes them through `__dict__`, the only way to set them;
+    they decide equality (within one class), hashing and repr. Instances
+    keep their `__dict__`, so `cached_property` works on them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Universe(Value):
     """An ordered set of vertex names; declaration order fixes indices."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        for name in self.names:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        for name in names:
             _check_name(name)
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise FormatError("duplicate vertex names")
+        self.__dict__["names"] = names
 
     @property
     def n(self) -> int:
@@ -89,22 +121,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """A finite simple undirected graph over a vertex universe.
 
     Edges are stored as index pairs (u, v) with u < v; per-vertex
     neighbor index sets are built from them on first use.
     """
 
-    universe: Universe
-    edges: frozenset[tuple[int, int]]
+    _fields = ("universe", "edges")
 
-    def __post_init__(self) -> None:
-        n = self.universe.n
-        for u, v in self.edges:
+    def __init__(self, universe: Universe, edges: frozenset[tuple[int, int]]) -> None:
+        n = universe.n
+        for u, v in edges:
             if not (0 <= u < v < n):
                 raise ValueError(f"bad edge pair ({u}, {v})")
+        self.__dict__.update(universe=universe, edges=edges)
 
     @classmethod
     def build(cls, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> Graph:
@@ -142,8 +173,8 @@ class Graph:
         return self._adj[i]
 
     def neighbors(self, name: str) -> tuple[str, ...]:
-        i = self.universe.index(name)
-        return tuple(self.universe.name(j) for j in sorted(self._adj[i]))
+        i, names = self.universe.index(name), self.universe.names
+        return tuple([names[j] for j in sorted(self._adj[i])])
 
     def degree(self, name: str) -> int:
         return len(self._adj[self.universe.index(name)])
@@ -157,9 +188,8 @@ class Graph:
 
     def edge_names(self) -> tuple[tuple[str, str], ...]:
         """Edges as name pairs, sorted by index pair."""
-        return tuple(
-            (self.universe.name(u), self.universe.name(v)) for u, v in sorted(self.edges)
-        )
+        names = self.universe.names
+        return tuple([(names[u], names[v]) for u, v in sorted(self.edges)])
 
     def with_edges(self, extra: Iterable[tuple[str, str]]) -> Graph:
         pairs = set(self.edges)
@@ -196,12 +226,11 @@ class Graph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
 class Tree(Graph):
     """A connected acyclic graph. Construction validates tree-ness."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, universe: Universe, edges: frozenset[tuple[int, int]]) -> None:
+        super().__init__(universe, edges)
         if self.m != max(self.n - 1, 0) or not self.is_connected():
             raise NotATreeError("graph is not a tree")
 
@@ -211,17 +240,16 @@ class Tree(Graph):
         return cls(g.universe, g.edges)
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(Value):
     """A permutation of a universe's vertices, leftmost visited first."""
 
-    universe: Universe
-    seq: tuple[int, ...]
+    _fields = ("universe", "seq")
 
-    def __post_init__(self) -> None:
-        n = self.universe.n
-        if len(self.seq) != n or set(self.seq) != set(range(n)):
+    def __init__(self, universe: Universe, seq: tuple[int, ...]) -> None:
+        n = universe.n
+        if len(seq) != n or set(seq) != set(range(n)):
             raise ValueError("ordering must list every vertex exactly once")
+        self.__dict__.update(universe=universe, seq=seq)
 
     @classmethod
     def from_names(cls, universe: Universe, names: Sequence[str]) -> Ordering:
@@ -229,7 +257,8 @@ class Ordering:
 
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.universe.name(i) for i in self.seq)
+        names = self.universe.names
+        return tuple([names[i] for i in self.seq])
 
     @cached_property
     def _pos(self) -> dict[int, int]:
@@ -246,19 +275,18 @@ class Ordering:
         return self._pos[self.universe.index(name)] + 1
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Value):
     """A non-empty collection of orderings over one universe."""
 
-    universe: Universe
-    orderings: tuple[Ordering, ...]
+    _fields = ("universe", "orderings")
 
-    def __post_init__(self) -> None:
-        if not self.orderings:
+    def __init__(self, universe: Universe, orderings: tuple[Ordering, ...]) -> None:
+        if not orderings:
             raise ValueError("a profile needs at least one ordering")
-        for o in self.orderings:
-            if o.universe != self.universe:
+        for o in orderings:
+            if o.universe != universe:
                 raise ValueError("ordering universe mismatch")
+        self.__dict__.update(universe=universe, orderings=orderings)
 
     @classmethod
     def build(cls, names: Iterable[str], rows: Iterable[Sequence[str]]) -> Profile:

@@ -21,11 +21,10 @@ edge bound, 6 for the degree bound and 20 for the vertex cover.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Union
 
-from .core import CapError, Graph, Profile, Tree, universe_of
+from .core import CapError, Graph, Profile, Tree, Value, universe_of
 from .traversals import Paradigm
 from .verifiers import certify_by_simulation
 
@@ -35,28 +34,32 @@ DEG_SEARCH_CAP = 6
 VERTEX_COVER_CAP = 20
 
 
-@dataclass(frozen=True)
-class EdgeBounded:
-    k: int
+class EdgeBounded(Value):
+    _fields = ("k",)
+
+    def __init__(self, k: int) -> None:
+        self.__dict__["k"] = k
 
 
-@dataclass(frozen=True)
-class DegBounded:
-    k: int
+class DegBounded(Value):
+    _fields = ("k",)
+
+    def __init__(self, k: int) -> None:
+        self.__dict__["k"] = k
 
 
-@dataclass(frozen=True)
-class TreeSupport:
+class TreeSupport(Value):
     pass
 
 
 ProblemKind = Union[EdgeBounded, DegBounded, TreeSupport]
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    is_yes: bool
-    witness: Graph | None = None
+class OracleResult(Value):
+    _fields = ("is_yes", "witness")
+
+    def __init__(self, is_yes: bool, witness: Graph | None = None) -> None:
+        self.__dict__.update(is_yes=is_yes, witness=witness)
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:

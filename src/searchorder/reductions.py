@@ -19,11 +19,10 @@ one, so instances are fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .core import FormatError, Graph, Profile, emit_profile, parse_bounded_profile
+from .core import FormatError, Graph, Profile, Value, emit_profile, parse_bounded_profile
 from .traversals import Paradigm, complete_prefix
 from .verifiers import is_s_ordering
 
@@ -34,13 +33,13 @@ ATTACH_VERTEX = "z"  # the gadget vertex a cover is attached to
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class Drone:
+class Drone(Value):
     """A clique of p vertices, each carrying q pendant leaves."""
 
-    p: int
-    q: int
-    graph: Graph
+    _fields = ("p", "q", "graph")
+
+    def __init__(self, p: int, q: int, graph: Graph) -> None:
+        self.__dict__.update(p=p, q=q, graph=graph)
 
 
 def build_drone(p: int, q: int) -> Drone:
@@ -77,15 +76,17 @@ def _name_pairs(value: str) -> list[tuple[str, str]]:
     return list(zip(tokens[::2], tokens[1::2]))
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
-    paradigm: Paradigm
-    bound: str
-    kappa: int
-    source: Graph
-    gadget: Graph
-    profile: Profile
-    k: int
+class ReductionInstance(Value):
+    _fields = ("paradigm", "bound", "kappa", "source", "gadget", "profile", "k")
+
+    def __init__(
+        self, paradigm: Paradigm, bound: str, kappa: int, source: Graph, gadget: Graph,
+        profile: Profile, k: int,
+    ) -> None:
+        self.__dict__.update(
+            paradigm=paradigm, bound=bound, kappa=kappa, source=source, gadget=gadget,
+            profile=profile, k=k,
+        )
 
     @property
     def family(self) -> str:

@@ -76,7 +76,11 @@ def test_imports_load_only_what_they_need():
     loaded = _modules_loaded_by("import searchorder.cli")
     assert {m for m in loaded if m.startswith("searchorder.")} == {
         "searchorder.cli", "searchorder.core", "searchorder.traversals"}
-    assert not loaded & {"click", "logging"}
+    assert not loaded & {"click", "logging", "dataclasses", "inspect"}
+    loaded = _modules_loaded_by(
+        "import searchorder.cli, searchorder.attachment, searchorder.dfs_tree,"
+        " searchorder.reductions, searchorder.oracles")
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def _unused_imports(path):

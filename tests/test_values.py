@@ -1,0 +1,129 @@
+"""Value semantics shared by the package's immutable types: equality and
+hashing by fields within one class, no assignment or deletion, a repr
+that names the fields, constructor defaults, and cached attributes."""
+
+import pytest
+
+from searchorder import (
+    AttachmentDigraph,
+    DegBounded,
+    Drone,
+    EdgeBounded,
+    Graph,
+    OracleResult,
+    Ordering,
+    Paradigm,
+    Profile,
+    RecognitionOutcome,
+    ReductionInstance,
+    Tree,
+    TreeSupport,
+    Universe,
+    build_attachment_digraph,
+    build_drone,
+    reduce,
+    universe_of,
+)
+
+from conftest import k4
+
+
+def path3(cls=Graph):
+    return cls.build("abc", [("a", "b"), ("b", "c")])
+
+
+# (class, a factory that builds a fresh value on each call, field names)
+VALUES = [
+    (Universe, lambda: universe_of("abc"), ("names",)),
+    (Graph, path3, ("universe", "edges")),
+    (Tree, lambda: path3(Tree), ("universe", "edges")),
+    (Ordering, lambda: Ordering.from_names(universe_of("abc"), "bac"), ("universe", "seq")),
+    (Profile, lambda: Profile.build("abc", ["abc", "bac"]), ("universe", "orderings")),
+    (
+        RecognitionOutcome,
+        lambda: RecognitionOutcome(True, path3(Tree)),
+        ("is_yes", "tree", "reason"),
+    ),
+    (
+        AttachmentDigraph,
+        lambda: build_attachment_digraph(Profile.build("abc", ["abc", "bac"])),
+        ("universe", "out_masks"),
+    ),
+    (EdgeBounded, lambda: EdgeBounded(3), ("k",)),
+    (DegBounded, lambda: DegBounded(3), ("k",)),
+    (TreeSupport, TreeSupport, ()),
+    (OracleResult, lambda: OracleResult(True, path3()), ("is_yes", "witness")),
+    (Drone, lambda: build_drone(2, 1), ("p", "q", "graph")),
+    (
+        ReductionInstance,
+        lambda: reduce(Paradigm.DFS, "edge", k4(), 3),
+        ("paradigm", "bound", "kappa", "source", "gadget", "profile", "k"),
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=IDS)
+def test_equal_fields_give_equal_values_and_hashes(cls, make, fields):
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != object() and a.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, make, fields):
+    value = make()
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == make()
+
+
+@pytest.mark.parametrize("cls, make, fields", VALUES, ids=IDS)
+def test_repr_names_the_class_and_its_fields(cls, make, fields):
+    value = make()
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+    assert repr(value) == f"{cls.__name__}({shown})"
+
+
+def test_repr_spells_out_small_values():
+    assert repr(universe_of("ab")) == "Universe(names=('a', 'b'))"
+    assert repr(EdgeBounded(3)) == "EdgeBounded(k=3)"
+    assert repr(TreeSupport()) == "TreeSupport()"
+    assert repr(OracleResult(False)) == "OracleResult(is_yes=False, witness=None)"
+
+
+def test_values_of_different_classes_never_compare_equal():
+    graph, tree = path3(), path3(Tree)
+    assert (graph.universe, graph.edges) == (tree.universe, tree.edges)
+    assert graph != tree and tree != graph
+    assert EdgeBounded(3) != DegBounded(3)
+    assert EdgeBounded(3) != EdgeBounded(4)
+    assert TreeSupport() == TreeSupport()
+
+
+def test_constructor_defaults():
+    outcome = RecognitionOutcome(False)
+    assert (outcome.is_yes, outcome.tree, outcome.reason) == (False, None, None)
+    assert RecognitionOutcome(False, reason="X") == RecognitionOutcome(False, None, "X")
+    assert RecognitionOutcome(False, reason="X") != RecognitionOutcome(False)
+    assert OracleResult(False).witness is None
+    assert OracleResult(False) == OracleResult(False, None)
+
+
+def test_cached_attributes_are_computed_once_and_ignored_by_equality():
+    uni = universe_of("abc")
+    assert uni._index_map is uni._index_map
+    assert uni._index_map == {"a": 0, "b": 1, "c": 2}
+    graph = path3()
+    assert graph._adj is graph._adj
+    ordering = Ordering.from_names(uni, "bac")
+    assert ordering.names is ordering.names == ("b", "a", "c")
+    assert (uni, graph, ordering) == (universe_of("abc"), path3(), Ordering(uni, (1, 0, 2)))
+    assert hash(ordering) == hash(Ordering(universe_of("abc"), (1, 0, 2)))
