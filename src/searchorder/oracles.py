@@ -4,14 +4,23 @@ On a connected graph every paradigm's run is a generic-search run: each
 vertex after the first has an earlier neighbour. So a tree support lets
 row 1 grow connected, and the trees that do are the (n-1)! ways to hang
 each later vertex of row 1 off an earlier one; the tree oracles try only
-those. A bitmask check drops candidates on which another row does not
-grow connected, and a candidate is accepted only when
+those on which every other row grows connected too.
+
+A depth-first walk hangs row 1's vertices in turn on one list of
+adjacency bitmasks, and takes each edge off again on backtrack. Whether
+vertex v of another row r has an earlier neighbour in r is tested once,
+at its deadline: the step that hangs the last of v and of the vertices
+before v in r. After that step v gains only children hung later, and
+those come after v in r, so the answer is final; before it, a vertex
+before v in r could still be hung off v. A branch that fails a test is
+cut, so the leaves are exactly the trees on which every row grows
+connected. Sorting them by Prüfer code restores the order of
+`enumerate_tree_edge_sets`. A candidate is accepted only when
 `certify_by_simulation` replays every row through the label simulation,
 never the four-point shortcuts or the attachment digraph, so the oracles
-share no nontrivial code path with the recognizers they check. Sorting
-by Prüfer code restores the order of `enumerate_tree_edge_sets`. The
+share no nontrivial code path with the recognizers they check. The
 bounded problems try edge subsets of increasing size, with the same
-growth check before simulation.
+growth check on each whole subset before simulation.
 
 Every search here is exponential, so each raises CapError above a fixed
 size, set by the module constants: n = 8 for tree supports, 5 for the
@@ -134,6 +143,46 @@ def _grows_connected(masks: list[int], seq: tuple[int, ...]) -> bool:
     return True
 
 
+def _growing_trees(seqs: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], tuple]]:
+    """(Prüfer code, (child, parent) pairs) of every tree that hangs each
+    later vertex of seqs[0] off an earlier one and on which every row
+    grows connected, in the lexicographic order of the parent choices."""
+    first, n = seqs[0], len(seqs[0])
+    pos = {v: i for i, v in enumerate(first)}
+    # due[i]: (v, vertices before v in a row) pairs whose growth test is
+    # decided once first[i] hangs
+    due: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for seq in seqs[1:]:
+        before = deadline = 0
+        for v in seq:
+            deadline = max(deadline, pos[v])
+            if before:
+                due[deadline].append((v, before))
+            before |= 1 << v
+    masks, parents, found = [0] * n, [], []
+
+    def hang(i: int) -> None:
+        if i == n:
+            found.append((_prufer_code(masks), tuple(zip(first[1:], parents))))
+            return
+        v = first[i]
+        for p in first[:i]:
+            masks[v] |= 1 << p
+            masks[p] |= 1 << v
+            for u, before in due[i]:
+                if not masks[u] & before:
+                    break
+            else:
+                parents.append(p)
+                hang(i + 1)
+                parents.pop()
+            masks[v] ^= 1 << p
+            masks[p] ^= 1 << v
+
+    hang(1)
+    return found
+
+
 def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
     """Every tree admitting the whole profile, lazily, in Prüfer order."""
     n = profile.universe.n
@@ -141,16 +190,7 @@ def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
         raise CapError(f"tree enumeration needs n <= {TREE_ENUMERATION_CAP}, got n = {n}")
     if n == 0:
         raise ValueError("need at least one vertex")
-    seqs = [o.seq for o in profile.orderings]
-    first = seqs[0]
-    candidates = []
-    for parents in product(*(first[:i] for i in range(1, n))):
-        pairs = tuple(zip(first[1:], parents))
-        masks = _masks(n, pairs)
-        if all(_grows_connected(masks, seq) for seq in seqs[1:]):
-            candidates.append((_prufer_code(masks), pairs))
-    candidates.sort()
-    for _code, pairs in candidates:
+    for _code, pairs in sorted(_growing_trees([o.seq for o in profile.orderings])):
         tree = Tree.from_pairs(profile.universe, pairs)
         if all(certify_by_simulation(tree, o, paradigm) for o in profile.orderings):
             yield tree

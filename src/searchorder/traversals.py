@@ -177,9 +177,9 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
     then continue greedily (lowest index on ties).
 
     The replay tests no candidacy, so any prefix of distinct vertices
-    extends, and the returned ordering starts with the prefix itself.
-    Whether the result is a valid ordering of the paradigm is left to
-    the caller (`is_partial_ordering` checks it).
+    extends, and the returned ordering starts with the prefix itself. It
+    is a valid ordering of the paradigm iff the prefix is one, which
+    `is_partial_ordering` decides without completing it.
     """
     state = _replay(graph, prefix, paradigm)
     seq = list(graph.universe.indices(prefix))

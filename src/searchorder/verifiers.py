@@ -22,7 +22,9 @@ ordering against the label semantics and is the ground truth for all
 seven paradigms, for LexBFS, LexDFS, MCS and MNS. `satisfies_property`,
 the O(n^2)-pair scan of the six properties, is the reference that the
 engines are tested against and names the first violating triple.
-`is_partial_ordering` completes a prefix greedily and verifies the result.
+`is_partial_ordering` replays a prefix, testing each vertex's candidacy:
+a label search never gets stuck, so a prefix whose every vertex is a
+candidate when visited extends to a full ordering.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from enum import Enum
 from typing import Sequence
 
 from .core import Graph, Ordering, iter_bits
-from .traversals import LabelState, Paradigm, complete_prefix
+from .traversals import LabelState, Paradigm
 
 
 class FourPointProperty(Enum):
@@ -167,7 +169,15 @@ def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> 
 
 
 def is_partial_ordering(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> bool:
-    """Whether the prefix extends to a full ordering of the paradigm."""
-    completed = complete_prefix(graph, prefix, paradigm)
-    return is_s_ordering(graph, completed, paradigm)
+    """Whether the prefix extends to a full ordering of the paradigm: whether
+    each of its vertices is a candidate when visited. A repeated vertex is
+    an error wherever it stands."""
+    state, partial = LabelState(graph._adj, paradigm), True
+    for name in prefix:
+        v = graph.universe.index(name)
+        if v in state.visited:
+            raise ValueError(f"duplicate vertex {name!r} in prefix")
+        partial = partial and state.is_candidate(v)
+        state.advance(v)
+    return partial
 

@@ -20,7 +20,9 @@ from searchorder import (
     is_s_ordering,
     min_vertex_cover,
 )
-from searchorder.oracles import _masks, _prufer_code, _prufer_edges
+from searchorder.oracles import (
+    _growing_trees, _grows_connected, _masks, _prufer_code, _prufer_edges,
+)
 
 from conftest import k4, planted_tree_profiles, random_profiles
 
@@ -83,6 +85,32 @@ def test_row_rooted_oracles_match_the_exhaustive_reference(paradigm):
         assert result.witness == (want[0] if want else None), profile
         hits += bool(want)
     assert hits >= 12
+
+
+def product_growing_trees(seqs):
+    """Every choice of an earlier parent for each later vertex of row 1,
+    kept when every other row grows connected on it."""
+    first, n = seqs[0], len(seqs[0])
+    kept = []
+    for parents in itertools.product(*(first[:i] for i in range(1, n))):
+        pairs = tuple(zip(first[1:], parents))
+        masks = _masks(n, pairs)
+        if all(_grows_connected(masks, seq) for seq in seqs[1:]):
+            kept.append((_prufer_code(masks), pairs))
+    return kept
+
+
+def test_pruned_walk_keeps_exactly_the_growing_trees_at_n7():
+    corpus = random_profiles(720, 24, sizes=(7,), rows=(1, 2, 3, 4))
+    for paradigm in (Paradigm.GS, Paradigm.BFS, Paradigm.DFS):
+        corpus += planted_tree_profiles(721, 8, paradigm, sizes=(7,), rows=(1, 2, 3, 4))
+    kept = 0
+    for profile in corpus:
+        seqs = [sigma.seq for sigma in profile]
+        want = product_growing_trees(seqs)
+        assert _growing_trees(seqs) == want, profile
+        kept += len(want)
+    assert kept > len(corpus)
 
 
 def test_prufer_code_inverts_the_decoder():

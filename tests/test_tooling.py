@@ -106,6 +106,30 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _package_imports(module):
+    """The package modules that module imports, relatively or by name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            found |= {name.partition(".")[2] or "__init__"
+                      for name in names if name.split(".")[0] == "searchorder"}
+    return found
+
+
+def test_oracles_stay_independent_of_the_recognizers():
+    assert _package_imports("oracles") <= {"core", "traversals", "verifiers"}
+    reached, todo = set(), ["oracles"]
+    while todo:
+        module = todo.pop()
+        reached.add(module)
+        todo += _package_imports(module) - reached
+    assert not reached & {"attachment", "dfs_tree", "reductions", "__init__"}
+
+
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
