@@ -18,15 +18,18 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    between v's *guider* (nearest preceding forced vertex) and a
    per-ordering anchor, intersected over all orderings. One sweep per
    ordering finds every guider and anchor; T* is rooted once per
-   distinct first vertex; paths are walked up to their meeting vertex
-   by parent and depth: O(k n h) in all.
+   distinct first vertex. The free vertices between two forced ones
+   share guider and anchor, so each such run walks one path up to its
+   meeting vertex by parent and depth: O(k (n + r h)) for r runs.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
-   to a fixed point; an empty set means no support exists. A group of
-   free vertices sharing a guider in one ordering is narrowed in one
-   pass over its members, O(group size * h), plus one O(n) search per
-   distinct guider; a group is passed over again only when one of its
-   sets shrank, so there are at most O(n h k) passes in all and
-   usually a few per group.
+   to a fixed point; an empty set means no support exists. One O(n)
+   search per distinct guider w gives its balls, the masks of T*
+   within distance d of w. A group of free vertices sharing a guider in
+   one ordering is narrowed in one pass over its members: a binary
+   search over the balls finds each set's nearest and farthest distance
+   and one mask AND narrows it, O(group size * log h) mask operations.
+   A group is passed over again only when one of its sets shrank, so
+   there are at most O(n h k) passes in all and usually a few per group.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
    tree (the same linear check, O(k n)) is defensive and is never
@@ -38,6 +41,7 @@ Free vertices are always leaves of the constructed tree.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
 from typing import Sequence
@@ -48,7 +52,7 @@ from .attachment import (
     build_attachment_digraph,
     forced_subtree,
 )
-from .core import Graph, Profile, Tree, iter_bits
+from .core import Graph, Profile, Tree
 from .verifiers import FourPointProperty, frontier_check
 
 TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
@@ -72,6 +76,16 @@ def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]
                 depth[w] = d
                 order.append(w)
     return parent, depth
+
+
+def _balls(tstar: Graph, w: int) -> list[int]:
+    """balls[d]: the mask of T* vertices within distance d of w."""
+    balls = [0]
+    for x, d in _rooted_at(tstar, w)[1].items():  # BFS order: d never falls
+        if d == len(balls):
+            balls.append(balls[-1])
+        balls[-1] |= 1 << x
+    return balls
 
 
 def _path_mask(parent: dict[int, int], depth: dict[int, int], u: int, w: int) -> int:
@@ -99,19 +113,19 @@ def q_path(
     v. The anchor is the root when no forced vertex follows v, and
     otherwise the parent of the nearest forced vertex after v. Returns
     {v: (guider, mask of the T*-path from guider to anchor)}, in the
-    ordering's order.
+    ordering's order; a run of free vertices shares one entry.
     """
     found: dict[int, tuple[int, int]] = {}
     guider = -1
-    waiting: list[tuple[int, int]] = []  # (free vertex, guider), next forced one unseen
+    run: list[int] = []  # free vertices since the guider, next forced one unseen
     for x in (*seq, -1):  # -1 ends the ordering: no forced vertex follows
         if x >= 0 and not forced >> x & 1:
-            waiting.append((x, guider))
+            run.append(x)
             continue
-        anchor = parent[x] if x >= 0 else seq[0]
-        for v, w in waiting:
-            found[v] = (w, _path_mask(parent, depth, w, anchor))
-        waiting = []
+        if run:
+            anchor = parent[x] if x >= 0 else seq[0]
+            found.update(dict.fromkeys(run, (guider, _path_mask(parent, depth, guider, anchor))))
+            run = []
         guider = x
     return found
 
@@ -149,8 +163,9 @@ def purify(q: dict[int, int], guiders: list[dict[int, int]], tstar: Graph) -> di
     A group of free vertices sharing a guider in one ordering is
     narrowed in one pass: every member against the largest nearest
     distance before it and the smallest farthest distance after it,
-    both read from the sets as the pass found them. A group is visited
-    again only when one of its members changed. Removals are monotone,
+    both read from the sets as the pass found them, by binary search
+    over w's distance balls. A group is visited again only when one of
+    its members changed. Removals are monotone,
     so when no set empties, the fixed point is the same for every
     visiting order; when one does, some set ends empty for every order.
     """
@@ -166,34 +181,37 @@ def purify(q: dict[int, int], guiders: list[dict[int, int]], tstar: Graph) -> di
         for v in members:
             groups_of.setdefault(v, []).append(g)
 
-    distances: dict[int, dict[int, int]] = {}
+    balls_of: dict[int, list[int]] = {}
     pending = deque(range(len(groups)))
     queued = [True] * len(groups)
     while pending:
         g = pending.popleft()
         queued[g] = False
         w, members = groups[g]
-        if w not in distances:
-            distances[w] = _rooted_at(tstar, w)[1]
-        dw = distances[w]
-        spans = []  # (nearest, farthest) distance of each member's set; None if empty
+        if w not in balls_of:
+            balls_of[w] = _balls(tstar, w)
+        balls = balls_of[w]
+        top = len(balls) - 1
+        # nearest and farthest distance of each member's set; an empty set
+        # bounds nothing. m & balls[d] grows with d: it is nonzero from the
+        # nearest distance on and equals m from the farthest on.
+        nears, fars = [], []
         for v in members:
-            ds = [dw[x] for x in iter_bits(q[v])]
-            spans.append((min(ds), max(ds)) if ds else None)
+            m = q[v]
+            key = m.__and__
+            nears.append(bisect_left(balls, 1, key=key) if m else 0)
+            fars.append(bisect_left(balls, m, key=key) if m else top)
         # floors[i]: largest nearest distance before member i; ceilings[i + 1]:
-        # smallest farthest distance after it (empty sets bound nothing)
-        floors = [-1, *accumulate((s[0] if s else -1 for s in spans), max)]
-        ceilings = [*accumulate((s[1] if s else tstar.n for s in reversed(spans)), min,
-                                initial=tstar.n)][::-1]
-        for i, (v, span) in enumerate(zip(members, spans)):
+        # smallest farthest distance after it
+        floors = [*accumulate(nears, max, initial=0)]
+        ceilings = [*accumulate(reversed(fars), min, initial=top)][::-1]
+        if floors[1:] == nears and ceilings[:-1] == fars:
+            continue  # both distances rise along the group: nothing narrows
+        for i, v in enumerate(members):
             low, high = floors[i], ceilings[i + 1]
-            if span is None or low <= span[0] and span[1] <= high:
+            if not q[v] or low <= nears[i] and fars[i] <= high:
                 continue
-            kept = 0
-            for x in iter_bits(q[v]):
-                if low <= dw[x] <= high:
-                    kept |= 1 << x
-            q[v] = kept
+            q[v] &= balls[high] & ~balls[low - 1] if low else balls[high]
             for h in groups_of[v]:
                 if not queued[h]:
                     queued[h] = True

@@ -113,15 +113,23 @@ def enumerate_labeled_trees(names: tuple[str, ...] | list[str]) -> Iterator[Tree
 
 def _prufer_code(masks: list[int]) -> tuple[int, ...]:
     """Prüfer sequence of the tree with these adjacency masks: remove the
-    smallest leaf n - 2 times, recording its neighbour each time."""
+    smallest leaf n - 2 times, recording its neighbour each time. Every
+    leaf below a rising pointer is gone, so the smallest leaf is the
+    neighbour just left a leaf below it, or else the next leaf above."""
     masks = list(masks)
     code = []
+    pointer, leaf = -1, None
     for _ in range(len(masks) - 2):
-        leaf = next(v for v, m in enumerate(masks) if m and not m & (m - 1))
+        if leaf is None:
+            pointer += 1
+            while masks[pointer] & (masks[pointer] - 1):
+                pointer += 1
+            leaf = pointer
         parent = masks[leaf].bit_length() - 1
         code.append(parent)
-        masks[leaf] = 0
-        masks[parent] &= ~(1 << leaf)
+        masks[parent] ^= 1 << leaf
+        m = masks[parent]
+        leaf = parent if parent < pointer and not m & (m - 1) else None
     return tuple(code)
 
 

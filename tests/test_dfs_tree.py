@@ -1,5 +1,8 @@
 """Polynomial-time DFS tree-support recognition against frozen fixtures."""
 
+from collections import deque
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +28,9 @@ from searchorder import (
 )
 from searchorder import dfs_tree
 from searchorder.core import iter_bits
-from searchorder.dfs_tree import assign_parents, candidate_sets, purify
+from searchorder.dfs_tree import (
+    _path_mask, _rooted_at, assign_parents, candidate_sets, purify, q_path,
+)
 from searchorder.verifiers import frontier_check
 
 from conftest import planted_profiles, random_profiles, trees
@@ -202,3 +207,120 @@ def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
     with pytest.warns(RuntimeWarning, match="assembled tree failed final verification"):
         out = recognize_dfs_tree(YES_PATH)
     assert (out.is_yes, out.reason) == (False, FINAL_VERIFY_FAILED)
+
+
+# ------------------------------------------------- stage references
+
+
+def reference_q_path(seq, forced, parent, depth):
+    """q_path with one _path_mask call per free vertex."""
+    found = {}
+    guider = -1
+    waiting = []
+    for x in (*seq, -1):
+        if x >= 0 and not forced >> x & 1:
+            waiting.append((x, guider))
+            continue
+        anchor = parent[x] if x >= 0 else seq[0]
+        for v, w in waiting:
+            found[v] = (w, _path_mask(parent, depth, w, anchor))
+        waiting = []
+        guider = x
+    return found
+
+
+def reference_purify(q, guiders, tstar):
+    """purify reading each member's distances from a distance dict, one
+    vertex at a time."""
+    q = dict(q)
+    groups = []
+    for row in guiders:
+        by_guider = {}
+        for v, w in row.items():
+            by_guider.setdefault(w, []).append(v)
+        groups.extend((w, vs) for w, vs in by_guider.items() if len(vs) > 1)
+    groups_of = {}
+    for g, (_w, members) in enumerate(groups):
+        for v in members:
+            groups_of.setdefault(v, []).append(g)
+
+    distances = {}
+    pending = deque(range(len(groups)))
+    queued = [True] * len(groups)
+    while pending:
+        g = pending.popleft()
+        queued[g] = False
+        w, members = groups[g]
+        if w not in distances:
+            distances[w] = _rooted_at(tstar, w)[1]
+        dw = distances[w]
+        spans = []
+        for v in members:
+            ds = [dw[x] for x in iter_bits(q[v])]
+            spans.append((min(ds), max(ds)) if ds else None)
+        floors = [-1, *accumulate((s[0] if s else -1 for s in spans), max)]
+        ceilings = [*accumulate((s[1] if s else tstar.n for s in reversed(spans)), min,
+                                initial=tstar.n)][::-1]
+        for i, (v, span) in enumerate(zip(members, spans)):
+            low, high = floors[i], ceilings[i + 1]
+            if span is None or low <= span[0] and span[1] <= high:
+                continue
+            kept = 0
+            for x in iter_bits(q[v]):
+                if low <= dw[x] <= high:
+                    kept |= 1 << x
+            q[v] = kept
+            for h in groups_of[v]:
+                if not queued[h]:
+                    queued[h] = True
+                    pending.append(h)
+    return q
+
+
+STAGES = ("build_attachment_digraph", "q_path", "purify", "assign_parents")
+
+
+def record_stages(monkeypatch):
+    """Wrap the stages the per-layer spans wrap by name; each call's
+    arguments are appended to calls[stage name]."""
+    calls = {name: [] for name in STAGES}
+    for name in STAGES:
+        def wrapper(*args, _inner=getattr(dfs_tree, name), _seen=calls[name]):
+            _seen.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(dfs_tree, name, wrapper)
+    return calls
+
+
+def test_stage_names_are_looked_up_at_call_time(monkeypatch):
+    calls = record_stages(monkeypatch)
+    assert recognize_dfs_tree(SHRINK).is_yes
+    assert all(calls[name] for name in STAGES), {k: len(v) for k, v in calls.items()}
+
+
+def stage_corpus():
+    corpus = random_profiles(2720, 400, sizes=range(4, 9), rows=(1, 2, 3, 4))
+    for k in (2, 8):
+        corpus.extend(planted_profiles(100 + k, 100, k))  # DFS rows, then GS rows
+    return corpus
+
+
+def test_stages_match_their_references(monkeypatch):
+    calls = record_stages(monkeypatch)
+    reasons = [recognize_dfs_tree(profile).reason for profile in stage_corpus()]
+    monkeypatch.undo()
+    for args in calls["q_path"]:
+        assert q_path(*args) == reference_q_path(*args)
+    narrowed = emptied = 0
+    for q, guiders, tstar in calls["purify"]:
+        cleaned = purify(q, guiders, tstar)
+        assert cleaned == reference_purify(q, guiders, tstar)
+        narrowed += cleaned != q
+        emptied += not all(cleaned.values())
+    # the corpus reaches both stages often, narrows sets and empties some
+    assert len(calls["q_path"]) > 300 and len(calls["purify"]) > 100
+    assert narrowed > 20 and emptied > 5
+    # planted at n = 100: DFS rows are YES; k = 2 GS rows reach purification
+    # and end in EMPTY_Q, k = 8 GS rows stop before it
+    assert reasons[-4:] == [None, EMPTY_Q, None, RESTRICTION_FAILS]

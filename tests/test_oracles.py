@@ -114,7 +114,7 @@ def test_pruned_walk_keeps_exactly_the_growing_trees_at_n7():
 
 
 def test_prufer_code_inverts_the_decoder():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
             edges = _prufer_edges(seq, n) if n > 1 else []
             assert _prufer_code(_masks(n, edges)) == seq
