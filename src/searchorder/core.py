@@ -121,6 +121,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _index_pairs(uni: Universe, edges: Iterable[tuple[str, str]]) -> Iterator[tuple[int, int]]:
+    """Name-pair edges as index pairs (u, v), u < v; a self-loop is an error."""
+    index = uni.index
+    for a, b in edges:
+        u, v = index(a), index(b)
+        if u == v:
+            raise ValueError(f"self-loop at {a!r}")
+        yield (u, v) if u < v else (v, u)
+
+
 class Graph(Value):
     """A finite simple undirected graph over a vertex universe.
 
@@ -140,13 +150,7 @@ class Graph(Value):
     @classmethod
     def build(cls, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> Graph:
         uni = universe_of(names)
-        pairs = set()
-        for a, b in edges:
-            u, v = uni.index(a), uni.index(b)
-            if u == v:
-                raise ValueError(f"self-loop at {a!r}")
-            pairs.add((min(u, v), max(u, v)))
-        return cls(uni, frozenset(pairs))
+        return cls(uni, frozenset(_index_pairs(uni, edges)))
 
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]):
@@ -192,13 +196,7 @@ class Graph(Value):
         return tuple([(names[u], names[v]) for u, v in sorted(self.edges)])
 
     def with_edges(self, extra: Iterable[tuple[str, str]]) -> Graph:
-        pairs = set(self.edges)
-        for a, b in extra:
-            u, v = self.universe.index(a), self.universe.index(b)
-            if u == v:
-                raise ValueError(f"self-loop at {a!r}")
-            pairs.add((min(u, v), max(u, v)))
-        return Graph(self.universe, frozenset(pairs))
+        return Graph(self.universe, self.edges.union(_index_pairs(self.universe, extra)))
 
     def induced(self, names: Iterable[str]) -> Graph:
         """Induced subgraph; the sub-universe keeps the original name order."""

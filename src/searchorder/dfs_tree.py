@@ -17,19 +17,19 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    vertex v gets a candidate set Q(v): for each ordering, the T*-path
    between v's *guider* (nearest preceding forced vertex) and a
    per-ordering anchor, intersected over all orderings. One sweep per
-   ordering finds every guider and anchor; T* is rooted once per
-   distinct first vertex. The free vertices between two forced ones
-   share guider and anchor, so each such run walks one path up to its
-   meeting vertex by parent and depth: O(k (n + r h)) for r runs.
+   ordering cuts it into runs, maximal stretches of free vertices that
+   share guider and anchor; each run walks one path to the meeting
+   vertex by parent and depth, in T* rooted once per distinct first
+   vertex: O(k (n + r h)) for r runs. Runs stay the unit to the end.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
    to a fixed point; an empty set means no support exists. One O(n)
    search per distinct guider w gives its balls, the masks of T*
-   within distance d of w. A group of free vertices sharing a guider in
-   one ordering is narrowed in one pass over its members: a binary
-   search over the balls finds each set's nearest and farthest distance
-   and one mask AND narrows it, O(group size * log h) mask operations.
-   A group is passed over again only when one of its sets shrank, so
-   there are at most O(n h k) passes in all and usually a few per group.
+   within distance d of w. Each run of two or more vertices is
+   narrowed in one pass over its members: a binary search over the
+   balls finds each set's nearest and farthest distance and one mask
+   AND narrows it, O(run length * log h) mask operations. A run is
+   passed over again only when one of its sets shrank, so there are at
+   most O(n h k) passes in all and usually a few per run.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
    tree (the same linear check, O(k n)) is defensive and is never
@@ -105,17 +105,17 @@ def _path_mask(parent: dict[int, int], depth: dict[int, int], u: int, w: int) ->
 
 def q_path(
     seq: Sequence[int], forced: int, parent: dict[int, int], depth: dict[int, int]
-) -> dict[int, tuple[int, int]]:
-    """The Q-path contributions of one ordering, for every free vertex.
+) -> list[tuple[int, int, list[int]]]:
+    """One ordering's Q-path contributions, one per run of free vertices.
 
     `parent` and `depth` describe T* rooted at the ordering's first
-    vertex. For free v, the guider is the nearest forced vertex before
-    v. The anchor is the root when no forced vertex follows v, and
-    otherwise the parent of the nearest forced vertex after v. Returns
-    {v: (guider, mask of the T*-path from guider to anchor)}, in the
-    ordering's order; a run of free vertices shares one entry.
+    vertex, which is forced. A run's guider is the forced vertex just
+    before it; its anchor is the root when no forced vertex follows the
+    run, and otherwise the parent of the forced vertex just after it.
+    Returns [(guider, mask of the T*-path from guider to anchor, the
+    run's vertices), ...] in the ordering's order.
     """
-    found: dict[int, tuple[int, int]] = {}
+    runs: list[tuple[int, int, list[int]]] = []
     guider = -1
     run: list[int] = []  # free vertices since the guider, next forced one unseen
     for x in (*seq, -1):  # -1 ends the ordering: no forced vertex follows
@@ -124,58 +124,55 @@ def q_path(
             continue
         if run:
             anchor = parent[x] if x >= 0 else seq[0]
-            found.update(dict.fromkeys(run, (guider, _path_mask(parent, depth, guider, anchor))))
+            runs.append((guider, _path_mask(parent, depth, guider, anchor), run))
             run = []
         guider = x
-    return found
+    return runs
 
 
 def candidate_sets(
     rows: Sequence[Sequence[int]], forced: int, tstar: Graph
-) -> tuple[dict[int, int], list[dict[int, int]]]:
+) -> tuple[dict[int, int], list[tuple[int, list[int]]]]:
     """Q(v) for every free vertex v, as the intersection of its Q-paths
-    over the orderings, plus each ordering's guiders ({v: guider}, in
-    the ordering's order). T* is rooted once per distinct first vertex."""
+    over the orderings, plus the groups for `purify`: (guider, members)
+    for every run of two or more free vertices, ordering by ordering.
+    T* is rooted once per distinct first vertex."""
     rooted: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     q: dict[int, int] = {}
-    guiders: list[dict[int, int]] = []
+    groups: list[tuple[int, list[int]]] = []
     for seq in rows:
         if seq[0] not in rooted:
             rooted[seq[0]] = _rooted_at(tstar, seq[0])
-        found = q_path(seq, forced, *rooted[seq[0]])
-        guiders.append({v: w for v, (w, _path) in found.items()})
-        for v, (_w, path) in found.items():
-            q[v] = q.get(v, path) & path
-    return q, guiders
+        for w, path, members in q_path(seq, forced, *rooted[seq[0]]):
+            for v in members:
+                q[v] = q.get(v, path) & path
+            if len(members) > 1:
+                groups.append((w, members))
+    return q, groups
 
 
-def purify(q: dict[int, int], guiders: list[dict[int, int]], tstar: Graph) -> dict[int, int]:
+def purify(
+    q: dict[int, int], groups: list[tuple[int, list[int]]], tstar: Graph
+) -> dict[int, int]:
     """Apply the pairwise narrowing rule to a fixed point.
 
-    `q` maps free vertices to candidate masks; `guiders` holds, per
-    ordering, each free vertex's guider in that ordering's order. For
-    free u before v in some ordering, sharing guider w: drop from Q(v)
-    the vertices strictly closer to w (in T*) than all of Q(u), and
-    from Q(u) those strictly farther from w than all of Q(v). Pairs
-    with an empty set are skipped (the empty set itself is the caller's
-    no-instance signal).
+    `q` maps free vertices to candidate masks; `groups` holds (guider w,
+    members) per run of free vertices, members in the ordering's order.
+    For members u before v of a group: drop from Q(v) the vertices
+    strictly closer to w (in T*) than all of Q(u), and from Q(u) those
+    strictly farther from w than all of Q(v). Pairs with an empty set
+    are skipped (the empty set itself is the caller's no-instance
+    signal).
 
-    A group of free vertices sharing a guider in one ordering is
-    narrowed in one pass: every member against the largest nearest
-    distance before it and the smallest farthest distance after it,
-    both read from the sets as the pass found them, by binary search
+    A group is narrowed in one pass: every member against the largest
+    nearest distance before it and the smallest farthest distance after
+    it, both read from the sets as the pass found them, by binary search
     over w's distance balls. A group is visited again only when one of
     its members changed. Removals are monotone,
     so when no set empties, the fixed point is the same for every
     visiting order; when one does, some set ends empty for every order.
     """
     q = dict(q)
-    groups: list[tuple[int, list[int]]] = []
-    for row in guiders:
-        by_guider: dict[int, list[int]] = {}
-        for v, w in row.items():
-            by_guider.setdefault(w, []).append(v)
-        groups.extend((w, vs) for w, vs in by_guider.items() if len(vs) > 1)
     groups_of: dict[int, list[int]] = {}
     for g, (_w, members) in enumerate(groups):
         for v in members:
@@ -259,8 +256,8 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
         if not frontier_check(tstar, [x for x in seq if forced >> x & 1], FourPointProperty.D):
             return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
 
-    q, guiders = candidate_sets(rows, forced, tstar)
-    q = purify(q, guiders, tstar)
+    q, groups = candidate_sets(rows, forced, tstar)
+    q = purify(q, groups, tstar)
     if not all(q.values()):
         return RecognitionOutcome(False, reason=EMPTY_Q)
 

@@ -74,6 +74,8 @@ def profiles(draw, min_n=3, max_n=6, max_rows=3):
 
 def random_profiles(seed, count, sizes=(5, 6), rows=(2, 3, 4)):
     """Deterministic profile corpus: distinct uniform permutations."""
+    if max(sizes) > len(NAMES):
+        raise ValueError(f"size {max(sizes)} exceeds the {len(NAMES)} names of NAMES")
     if max(rows) > math.factorial(min(sizes)):
         raise ValueError(f"{max(rows)} distinct rows need more than {min(sizes)} vertices")
     rng = random.Random(seed)

@@ -62,8 +62,10 @@ def test_duplicate_edge_declarations_collapse():
 
 
 def test_graph_rejects_self_loops():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop at 'a'"):
         Graph.build("ab", [("a", "a")])
+    with pytest.raises(ValueError, match="self-loop at 'b'"):
+        Graph.build("ab").with_edges([("a", "b"), ("b", "b")])
 
 
 def test_graph_rejects_unknown_endpoints():
@@ -80,6 +82,9 @@ def test_induced_subgraph():
 def test_with_edges():
     g = Graph.build("abcd", [])
     assert g.with_edges([("a", "b")]).m == 1
+    assert g.with_edges([("a", "b")]).with_edges([("d", "a"), ("b", "a")]).edges == {
+        (0, 1), (0, 3)
+    }
     # original untouched
     assert g.m == 0
 

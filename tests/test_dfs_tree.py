@@ -87,8 +87,9 @@ def test_fixtures_agree_with_the_oracle(profile, is_yes, reason):
 
 
 def stage_values(profile):
-    """T*, the guiders of each ordering, and the candidate sets before
-    and after purification, by name, read through the stage functions."""
+    """T*, the runs of each ordering as (guider, members), and the
+    candidate sets before and after purification, by name, read through
+    the stage functions."""
     dg = build_attachment_digraph(profile)
     tstar = forced_subtree(dg)
     name = profile.universe.name
@@ -96,11 +97,13 @@ def stage_values(profile):
     def names(q):
         return {name(v): frozenset(map(name, iter_bits(m))) for v, m in q.items()}
 
-    q, guiders = candidate_sets([s.seq for s in profile], dg.forced_mask, tstar)
-    cleaned = purify(q, guiders, tstar)
+    rows = [s.seq for s in profile]
+    runs = [q_path(seq, dg.forced_mask, *_rooted_at(tstar, seq[0])) for seq in rows]
+    q, groups = candidate_sets(rows, dg.forced_mask, tstar)
+    cleaned = purify(q, groups, tstar)
     return {
         "tstar": tstar,
-        "guiders": [{name(v): name(w) for v, w in row.items()} for row in guiders],
+        "runs": [[(name(w), [*map(name, vs)]) for w, _path, vs in row] for row in runs],
         "q": names(q),
         "cleaned": names(cleaned),
         "cleaned_masks": cleaned,
@@ -115,9 +118,8 @@ def test_shrink_fixture_internals():
     tstar = stages["tstar"]
     assert sorted(tstar.edge_names()) == [("a", "b"), ("a", "c")]
 
-    first, second = stages["guiders"]
-    assert (first["d"], first["e"]) == ("c", "c")
-    assert (second["d"], second["e"]) == ("b", "c")
+    # a b c [d e]: one run guided by c; a c [e] b [d]: e guided by c, d by b
+    assert stages["runs"] == [[("c", ["d", "e"])], [("c", ["e"]), ("b", ["d"])]]
 
     assert stages["q"] == {"d": frozenset({"a"}), "e": frozenset({"a", "c"})}
     # d and e share the guider c in the first ordering, which pares e down
@@ -229,16 +231,10 @@ def reference_q_path(seq, forced, parent, depth):
     return found
 
 
-def reference_purify(q, guiders, tstar):
+def reference_purify(q, groups, tstar):
     """purify reading each member's distances from a distance dict, one
     vertex at a time."""
     q = dict(q)
-    groups = []
-    for row in guiders:
-        by_guider = {}
-        for v, w in row.items():
-            by_guider.setdefault(w, []).append(v)
-        groups.extend((w, vs) for w, vs in by_guider.items() if len(vs) > 1)
     groups_of = {}
     for g, (_w, members) in enumerate(groups):
         for v in members:
@@ -311,11 +307,12 @@ def test_stages_match_their_references(monkeypatch):
     reasons = [recognize_dfs_tree(profile).reason for profile in stage_corpus()]
     monkeypatch.undo()
     for args in calls["q_path"]:
-        assert q_path(*args) == reference_q_path(*args)
+        runs = q_path(*args)
+        assert {v: (w, path) for w, path, vs in runs for v in vs} == reference_q_path(*args)
     narrowed = emptied = 0
-    for q, guiders, tstar in calls["purify"]:
-        cleaned = purify(q, guiders, tstar)
-        assert cleaned == reference_purify(q, guiders, tstar)
+    for q, groups, tstar in calls["purify"]:
+        cleaned = purify(q, groups, tstar)
+        assert cleaned == reference_purify(q, groups, tstar)
         narrowed += cleaned != q
         emptied += not all(cleaned.values())
     # the corpus reaches both stages often, narrows sets and empties some
@@ -324,3 +321,25 @@ def test_stages_match_their_references(monkeypatch):
     # planted at n = 100: DFS rows are YES; k = 2 GS rows reach purification
     # and end in EMPTY_Q, k = 8 GS rows stop before it
     assert reasons[-4:] == [None, EMPTY_Q, None, RESTRICTION_FAILS]
+
+
+def test_each_forced_vertex_guides_at_most_one_run_per_ordering(monkeypatch):
+    # purify's groups are q_path's runs: exact because a run's guider is the
+    # forced vertex just before it, so one row's guiders are all distinct
+    calls = record_stages(monkeypatch)
+    for profile in stage_corpus():
+        recognize_dfs_tree(profile)
+    monkeypatch.undo()
+    assert len(calls["q_path"]) > 300
+    for seq, forced, parent, depth in calls["q_path"]:
+        assert forced >> seq[0] & 1  # so no run meets the guider -1
+        runs = q_path(seq, forced, parent, depth)
+        guiders = [w for w, _path, _vs in runs]
+        assert all(forced >> w & 1 for w in guiders)
+        assert len(set(guiders)) == len(guiders)
+        # the runs are the row's free vertices, in order, each run right
+        # after its guider
+        assert [v for _w, _path, vs in runs for v in vs] == [
+            x for x in seq if not forced >> x & 1
+        ]
+        assert all(seq[seq.index(vs[0]) - 1] == w for w, _path, vs in runs)

@@ -163,3 +163,8 @@ def test_every_private_name_has_a_user():
 def test_random_profiles_refuses_more_rows_than_permutations():
     with pytest.raises(ValueError):
         random_profiles(1, 1, sizes=(1,), rows=(2,))
+
+
+def test_random_profiles_refuses_more_vertices_than_names():
+    with pytest.raises(ValueError, match="exceeds the 8 names of NAMES"):
+        random_profiles(1, 1, sizes=range(4, 10))
