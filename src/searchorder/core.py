@@ -155,7 +155,7 @@ class Graph(Value):
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[int, int]]):
         """The graph with the given index-pair edges, in either orientation."""
-        return cls(universe, frozenset((min(a, b), max(a, b)) for a, b in pairs))
+        return cls(universe, frozenset([(a, b) if a < b else (b, a) for a, b in pairs]))
 
     @property
     def n(self) -> int:
@@ -202,11 +202,10 @@ class Graph(Value):
         """Induced subgraph; the sub-universe keeps the original name order."""
         keep = set(self.universe.index(v) for v in names)
         sub_names = tuple(v for i, v in enumerate(self.universe.names) if i in keep)
+        # remap keeps the index order, so each pair stays oriented u < v
         remap = {self.universe.index(v): k for k, v in enumerate(sub_names)}
         sub_edges = frozenset(
-            (min(remap[u], remap[v]), max(remap[u], remap[v]))
-            for u, v in self.edges
-            if u in keep and v in keep
+            [(remap[u], remap[v]) for u, v in self.edges if u in keep and v in keep]
         )
         return Graph(Universe(sub_names), sub_edges)
 

@@ -15,21 +15,27 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
 3. Otherwise every ordering restricted to the forced set must be a
    DFS-ordering of T* (a linear stack check: O(k n)), and each free
    vertex v gets a candidate set Q(v): for each ordering, the T*-path
-   between v's *guider* (nearest preceding forced vertex) and a
-   per-ordering anchor, intersected over all orderings. One sweep per
-   ordering cuts it into runs, maximal stretches of free vertices that
-   share guider and anchor; each run walks one path to the meeting
-   vertex by parent and depth, in T* rooted once per distinct first
-   vertex: O(k (n + r h)) for r runs. Runs stay the unit to the end.
+   from v's *guider* (nearest preceding forced vertex) to the next
+   forced vertex x, less x, or to the ordering's first vertex when no
+   forced vertex follows, intersected over all orderings. One sweep
+   per ordering cuts it into runs, maximal stretches of free vertices
+   that share guider and path; each run walks its path once, by
+   parent and depth in T* rooted once per call, and keeps the masks of
+   the path's prefixes. An ordering's paths are disjoint stretches of the
+   DFS walk of T*, which crosses each edge twice: O(k n) steps in all.
+   Runs stay the unit to the end.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
-   to a fixed point; an empty set means no support exists. One O(n)
-   search per distinct guider w gives its balls, the masks of T*
-   within distance d of w. Each run of two or more vertices is
-   narrowed in one pass over its members: a binary search over the
-   balls finds each set's nearest and farthest distance and one mask
-   AND narrows it, O(run length * log h) mask operations. A run is
-   passed over again only when one of its sets shrank, so there are at
-   most O(n h k) passes in all and usually a few per run.
+   to a fixed point; an empty set means no support exists, so
+   purification runs only when every set is non-empty (removals never
+   refill a set). Each member's set lies on its run's path, and on a
+   tree the vertex at position d of a path from w is at distance d
+   from w, so a run's prefixes are all the distance balls around its
+   guider that its sets can tell apart. Each run of two or more
+   vertices is narrowed in one pass over its members: a binary search
+   over the prefixes finds each set's nearest and farthest distance
+   and one mask AND narrows it, O(run length * log h) mask operations.
+   A run is passed over again only when one of its sets shrank, so
+   there are at most O(n h k) passes in all and usually a few per run.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
    tree (the same linear check, O(k n)) is defensive and is never
@@ -44,6 +50,7 @@ import warnings
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
+from operator import or_
 from typing import Sequence
 
 from .attachment import (
@@ -78,44 +85,38 @@ def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]
     return parent, depth
 
 
-def _balls(tstar: Graph, w: int) -> list[int]:
-    """balls[d]: the mask of T* vertices within distance d of w."""
-    balls = [0]
-    for x, d in _rooted_at(tstar, w)[1].items():  # BFS order: d never falls
-        if d == len(balls):
-            balls.append(balls[-1])
-        balls[-1] |= 1 << x
-    return balls
-
-
-def _path_mask(parent: dict[int, int], depth: dict[int, int], u: int, w: int) -> int:
-    """The vertices of the tree path between u and w, as a mask."""
-    mask = 1 << u | 1 << w
-    while depth[u] > depth[w]:
-        u = parent[u]
-        mask |= 1 << u
-    while depth[w] > depth[u]:
-        w = parent[w]
-        mask |= 1 << w
-    while u != w:
-        u, w = parent[u], parent[w]
-        mask |= 1 << u | 1 << w
-    return mask
+def _path_prefixes(parent: dict[int, int], depth: dict[int, int], w: int, x: int) -> list[int]:
+    """prefixes[d]: the mask of the first d + 1 vertices of the tree
+    path from w to x."""
+    up, down = [w], [x]
+    while w != x:  # climb from the deeper end; both lists end at the meeting vertex
+        if depth[w] >= depth[x]:
+            w = parent[w]
+            up.append(w)
+        else:
+            x = parent[x]
+            down.append(x)
+    return [*accumulate([1 << v for v in up + down[-2::-1]], or_)]
 
 
 def q_path(
     seq: Sequence[int], forced: int, parent: dict[int, int], depth: dict[int, int]
-) -> list[tuple[int, int, list[int]]]:
+) -> list[tuple[list[int], list[int]]]:
     """One ordering's Q-path contributions, one per run of free vertices.
 
-    `parent` and `depth` describe T* rooted at the ordering's first
-    vertex, which is forced. A run's guider is the forced vertex just
-    before it; its anchor is the root when no forced vertex follows the
-    run, and otherwise the parent of the forced vertex just after it.
-    Returns [(guider, mask of the T*-path from guider to anchor, the
-    run's vertices), ...] in the ordering's order.
+    `parent` and `depth` describe T* under any rooting; the ordering's
+    first vertex is forced, and the ordering restricted to the forced
+    vertices is a DFS-ordering of T*. A run's guider is the forced
+    vertex just before it. Its Q-path runs from the guider to the
+    forced vertex x just after the run, less x, or to the ordering's
+    first vertex when no forced vertex follows. (x's parent in the DFS
+    from the first vertex is on the stack when x is visited, so it is an
+    ancestor of the guider there, and it is x's neighbour on this path.)
+    Returns [(prefixes, the run's vertices), ...] in the ordering's
+    order, where prefixes[d] is the mask of the path's first d + 1
+    vertices from the guider.
     """
-    runs: list[tuple[int, int, list[int]]] = []
+    runs: list[tuple[list[int], list[int]]] = []
     guider = -1
     run: list[int] = []  # free vertices since the guider, next forced one unseen
     for x in (*seq, -1):  # -1 ends the ordering: no forced vertex follows
@@ -123,41 +124,40 @@ def q_path(
             run.append(x)
             continue
         if run:
-            anchor = parent[x] if x >= 0 else seq[0]
-            runs.append((guider, _path_mask(parent, depth, guider, anchor), run))
+            prefixes = _path_prefixes(parent, depth, guider, x if x >= 0 else seq[0])
+            runs.append((prefixes[:-1] if x >= 0 else prefixes, run))
             run = []
         guider = x
     return runs
 
 
 def candidate_sets(
-    rows: Sequence[Sequence[int]], forced: int, tstar: Graph
-) -> tuple[dict[int, int], list[tuple[int, list[int]]]]:
+    rows: Sequence[Sequence[int]], forced: int, parent: dict[int, int], depth: dict[int, int]
+) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
     """Q(v) for every free vertex v, as the intersection of its Q-paths
-    over the orderings, plus the groups for `purify`: (guider, members)
-    for every run of two or more free vertices, ordering by ordering.
-    T* is rooted once per distinct first vertex."""
-    rooted: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    over the orderings, plus the groups for `purify`: the (prefixes,
+    members) of every run of two or more free vertices, ordering by
+    ordering. `parent` and `depth` describe T* under one rooting, shared
+    by all orderings."""
     q: dict[int, int] = {}
-    groups: list[tuple[int, list[int]]] = []
+    groups: list[tuple[list[int], list[int]]] = []
     for seq in rows:
-        if seq[0] not in rooted:
-            rooted[seq[0]] = _rooted_at(tstar, seq[0])
-        for w, path, members in q_path(seq, forced, *rooted[seq[0]]):
+        for prefixes, members in q_path(seq, forced, parent, depth):
+            path = prefixes[-1]
             for v in members:
                 q[v] = q.get(v, path) & path
             if len(members) > 1:
-                groups.append((w, members))
+                groups.append((prefixes, members))
     return q, groups
 
 
-def purify(
-    q: dict[int, int], groups: list[tuple[int, list[int]]], tstar: Graph
-) -> dict[int, int]:
+def purify(q: dict[int, int], groups: list[tuple[list[int], list[int]]]) -> dict[int, int]:
     """Apply the pairwise narrowing rule to a fixed point.
 
-    `q` maps free vertices to candidate masks; `groups` holds (guider w,
-    members) per run of free vertices, members in the ordering's order.
+    `q` maps free vertices to candidate masks; `groups` holds (prefixes,
+    members) per run of free vertices, members in the ordering's order,
+    with prefixes[d] the mask of the first d + 1 vertices of the run's
+    Q-path from its guider w. Every member's set lies on that path.
     For members u before v of a group: drop from Q(v) the vertices
     strictly closer to w (in T*) than all of Q(u), and from Q(u) those
     strictly farther from w than all of Q(v). Pairs with an empty set
@@ -167,37 +167,34 @@ def purify(
     A group is narrowed in one pass: every member against the largest
     nearest distance before it and the smallest farthest distance after
     it, both read from the sets as the pass found them, by binary search
-    over w's distance balls. A group is visited again only when one of
-    its members changed. Removals are monotone,
+    over the group's prefixes (on a tree, position d on a path from w is
+    distance d from w). A group is visited again only when one of its
+    members changed. Removals are monotone,
     so when no set empties, the fixed point is the same for every
     visiting order; when one does, some set ends empty for every order.
     """
     q = dict(q)
     groups_of: dict[int, list[int]] = {}
-    for g, (_w, members) in enumerate(groups):
+    for g, (_prefixes, members) in enumerate(groups):
         for v in members:
             groups_of.setdefault(v, []).append(g)
 
-    balls_of: dict[int, list[int]] = {}
     pending = deque(range(len(groups)))
     queued = [True] * len(groups)
     while pending:
         g = pending.popleft()
         queued[g] = False
-        w, members = groups[g]
-        if w not in balls_of:
-            balls_of[w] = _balls(tstar, w)
-        balls = balls_of[w]
-        top = len(balls) - 1
+        prefixes, members = groups[g]
+        top = len(prefixes) - 1
         # nearest and farthest distance of each member's set; an empty set
-        # bounds nothing. m & balls[d] grows with d: it is nonzero from the
+        # bounds nothing. m & prefixes[d] grows with d: it is nonzero from the
         # nearest distance on and equals m from the farthest on.
         nears, fars = [], []
         for v in members:
             m = q[v]
             key = m.__and__
-            nears.append(bisect_left(balls, 1, key=key) if m else 0)
-            fars.append(bisect_left(balls, m, key=key) if m else top)
+            nears.append(bisect_left(prefixes, 1, key=key) if m else 0)
+            fars.append(bisect_left(prefixes, m, key=key) if m else top)
         # floors[i]: largest nearest distance before member i; ceilings[i + 1]:
         # smallest farthest distance after it
         floors = [*accumulate(nears, max, initial=0)]
@@ -208,7 +205,7 @@ def purify(
             low, high = floors[i], ceilings[i + 1]
             if not q[v] or low <= nears[i] and fars[i] <= high:
                 continue
-            q[v] &= balls[high] & ~balls[low - 1] if low else balls[high]
+            q[v] &= prefixes[high] & ~prefixes[low - 1] if low else prefixes[high]
             for h in groups_of[v]:
                 if not queued[h]:
                     queued[h] = True
@@ -241,9 +238,8 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     # it already refutes every candidate.  Only supportable profiles are
     # guaranteed to make it a tree.
     start = (forced & -forced).bit_length() - 1
-    forced_is_tree = (
-        tstar.m == forced_count - 1 and len(_rooted_at(tstar, start)[1]) == forced_count
-    )
+    parent, depth = _rooted_at(tstar, start)
+    forced_is_tree = tstar.m == forced_count - 1 and len(depth) == forced_count
 
     if forced_count == profile.universe.n:
         if forced_is_tree and all(frontier_check(tstar, seq, FourPointProperty.D) for seq in rows):
@@ -256,8 +252,9 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
         if not frontier_check(tstar, [x for x in seq if forced >> x & 1], FourPointProperty.D):
             return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
 
-    q, groups = candidate_sets(rows, forced, tstar)
-    q = purify(q, groups, tstar)
+    q, groups = candidate_sets(rows, forced, parent, depth)
+    if all(q.values()):  # an empty set stays empty: purify cannot save it
+        q = purify(q, groups)
     if not all(q.values()):
         return RecognitionOutcome(False, reason=EMPTY_Q)
 

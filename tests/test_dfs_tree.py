@@ -28,9 +28,7 @@ from searchorder import (
 )
 from searchorder import dfs_tree
 from searchorder.core import iter_bits
-from searchorder.dfs_tree import (
-    _path_mask, _rooted_at, assign_parents, candidate_sets, purify, q_path,
-)
+from searchorder.dfs_tree import _rooted_at, assign_parents, candidate_sets, purify, q_path
 from searchorder.verifiers import frontier_check
 
 from conftest import planted_profiles, random_profiles, trees
@@ -86,6 +84,11 @@ def test_fixtures_agree_with_the_oracle(profile, is_yes, reason):
     assert brute_force_tree_support(profile, Paradigm.DFS).is_yes == is_yes
 
 
+def guider_of(prefixes):
+    """A run's guider: the first vertex of its Q-path."""
+    return prefixes[0].bit_length() - 1
+
+
 def stage_values(profile):
     """T*, the runs of each ordering as (guider, members), and the
     candidate sets before and after purification, by name, read through
@@ -98,12 +101,14 @@ def stage_values(profile):
         return {name(v): frozenset(map(name, iter_bits(m))) for v, m in q.items()}
 
     rows = [s.seq for s in profile]
-    runs = [q_path(seq, dg.forced_mask, *_rooted_at(tstar, seq[0])) for seq in rows]
-    q, groups = candidate_sets(rows, dg.forced_mask, tstar)
-    cleaned = purify(q, groups, tstar)
+    forced = dg.forced_mask
+    rooted = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
+    runs = [q_path(seq, forced, *rooted) for seq in rows]
+    q, groups = candidate_sets(rows, forced, *rooted)
+    cleaned = purify(q, groups)
     return {
         "tstar": tstar,
-        "runs": [[(name(w), [*map(name, vs)]) for w, _path, vs in row] for row in runs],
+        "runs": [[(name(guider_of(p)), [*map(name, vs)]) for p, vs in row] for row in runs],
         "q": names(q),
         "cleaned": names(cleaned),
         "cleaned_masks": cleaned,
@@ -214,8 +219,49 @@ def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
 # ------------------------------------------------- stage references
 
 
+def bfs(adj, root):
+    """Parent and depth maps of root's component, rooted at root."""
+    parent, depth = {root: root}, {root: 0}
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if w not in depth:
+                parent[w], depth[w] = u, depth[u] + 1
+                order.append(w)
+    return parent, depth
+
+
+def tree_adjacency(parent):
+    """T* as adjacency sets, rebuilt from a parent map of any rooting."""
+    adj = {v: set() for v in parent}
+    for v, u in parent.items():
+        if u != v:
+            adj[v].add(u)
+            adj[u].add(v)
+    return adj
+
+
+def path_mask(parent, depth, u, w):
+    """The vertices of the tree path between u and w, as a mask."""
+    mask = 1 << u | 1 << w
+    while depth[u] > depth[w]:
+        u = parent[u]
+        mask |= 1 << u
+    while depth[w] > depth[u]:
+        w = parent[w]
+        mask |= 1 << w
+    while u != w:
+        u, w = parent[u], parent[w]
+        mask |= 1 << u | 1 << w
+    return mask
+
+
 def reference_q_path(seq, forced, parent, depth):
-    """q_path with one _path_mask call per free vertex."""
+    """{free vertex: (guider, Q-path mask)}, one path-mask walk per free
+    vertex, in T* rooted afresh at the ordering's first vertex; the path
+    runs from the guider to the parent there of the next forced vertex,
+    or to the root when none follows."""
+    parent0, depth0 = bfs(tree_adjacency(parent), seq[0])
     found = {}
     guider = -1
     waiting = []
@@ -223,32 +269,34 @@ def reference_q_path(seq, forced, parent, depth):
         if x >= 0 and not forced >> x & 1:
             waiting.append((x, guider))
             continue
-        anchor = parent[x] if x >= 0 else seq[0]
+        anchor = parent0[x] if x >= 0 else seq[0]
         for v, w in waiting:
-            found[v] = (w, _path_mask(parent, depth, w, anchor))
+            found[v] = (w, path_mask(parent0, depth0, w, anchor))
         waiting = []
         guider = x
     return found
 
 
 def reference_purify(q, groups, tstar):
-    """purify reading each member's distances from a distance dict, one
-    vertex at a time."""
+    """purify reading each member's distances from a distance dict of its
+    own BFS of T*, one vertex at a time."""
     q = dict(q)
     groups_of = {}
-    for g, (_w, members) in enumerate(groups):
+    for g, (_prefixes, members) in enumerate(groups):
         for v in members:
             groups_of.setdefault(v, []).append(g)
 
+    adj = {v: tstar.index_neighbors(v) for v in range(tstar.n)}
     distances = {}
     pending = deque(range(len(groups)))
     queued = [True] * len(groups)
     while pending:
         g = pending.popleft()
         queued[g] = False
-        w, members = groups[g]
+        prefixes, members = groups[g]
+        w = guider_of(prefixes)
         if w not in distances:
-            distances[w] = _rooted_at(tstar, w)[1]
+            distances[w] = bfs(adj, w)[1]
         dw = distances[w]
         spans = []
         for v in members:
@@ -276,11 +324,11 @@ def reference_purify(q, groups, tstar):
 STAGES = ("build_attachment_digraph", "q_path", "purify", "assign_parents")
 
 
-def record_stages(monkeypatch):
-    """Wrap the stages the per-layer spans wrap by name; each call's
-    arguments are appended to calls[stage name]."""
-    calls = {name: [] for name in STAGES}
-    for name in STAGES:
+def record_stages(monkeypatch, stages=STAGES):
+    """Wrap the stages by name (by default those the per-layer spans
+    wrap); each call's arguments are appended to calls[stage name]."""
+    calls = {name: [] for name in stages}
+    for name in stages:
         def wrapper(*args, _inner=getattr(dfs_tree, name), _seen=calls[name]):
             _seen.append(args)
             return _inner(*args)
@@ -297,6 +345,8 @@ def test_stage_names_are_looked_up_at_call_time(monkeypatch):
 
 def stage_corpus():
     corpus = random_profiles(2720, 400, sizes=range(4, 9), rows=(1, 2, 3, 4))
+    for seed in range(40):  # GS rows at k = 2 are where purify empties sets
+        corpus.extend(planted_profiles(3000 + seed, 30, 2))
     for k in (2, 8):
         corpus.extend(planted_profiles(100 + k, 100, k))  # DFS rows, then GS rows
     return corpus
@@ -304,23 +354,97 @@ def stage_corpus():
 
 def test_stages_match_their_references(monkeypatch):
     calls = record_stages(monkeypatch)
-    reasons = [recognize_dfs_tree(profile).reason for profile in stage_corpus()]
+    reasons, purified = [], []
+    for profile in stage_corpus():
+        seen = len(calls["purify"])
+        reasons.append(recognize_dfs_tree(profile).reason)
+        purified += [(profile, args) for args in calls["purify"][seen:]]
     monkeypatch.undo()
     for args in calls["q_path"]:
+        expected = reference_q_path(*args)
         runs = q_path(*args)
-        assert {v: (w, path) for w, path, vs in runs for v in vs} == reference_q_path(*args)
+        assert sorted(v for _p, vs in runs for v in vs) == sorted(expected)
+        adj = tree_adjacency(args[2])  # args: seq, forced, parent, depth
+        for prefixes, vs in runs:
+            w = guider_of(prefixes)
+            assert prefixes[0] == 1 << w
+            assert all(expected[v] == (w, prefixes[-1]) for v in vs)
+            dw = bfs(adj, w)[1]
+            for d, prefix in enumerate(prefixes):
+                assert prefix == sum(1 << x for x in iter_bits(prefixes[-1]) if dw[x] <= d)
     narrowed = emptied = 0
-    for q, groups, tstar in calls["purify"]:
-        cleaned = purify(q, groups, tstar)
+    for profile, (q, groups) in purified:
+        assert all(q.values())  # purify never sees a set that is already empty
+        tstar = forced_subtree(build_attachment_digraph(profile))
+        cleaned = purify(q, groups)
         assert cleaned == reference_purify(q, groups, tstar)
         narrowed += cleaned != q
         emptied += not all(cleaned.values())
     # the corpus reaches both stages often, narrows sets and empties some
-    assert len(calls["q_path"]) > 300 and len(calls["purify"]) > 100
+    assert len(calls["q_path"]) > 300 and len(purified) > 100
     assert narrowed > 20 and emptied > 5
-    # planted at n = 100: DFS rows are YES; k = 2 GS rows reach purification
-    # and end in EMPTY_Q, k = 8 GS rows stop before it
+    # planted at n = 100: DFS rows are YES; k = 2 GS rows end in EMPTY_Q,
+    # k = 8 GS rows fail the restriction check before any Q-path
     assert reasons[-4:] == [None, EMPTY_Q, None, RESTRICTION_FAILS]
+
+
+def test_q_paths_hold_their_sets_and_meet_each_forced_vertex_at_its_dfs_parent(monkeypatch):
+    calls = record_stages(monkeypatch, ("q_path", "candidate_sets"))
+    for profile in stage_corpus():
+        recognize_dfs_tree(profile)
+    monkeypatch.undo()
+    assert len(calls["candidate_sets"]) > 300
+    for args in calls["candidate_sets"]:
+        q, groups = candidate_sets(*args)
+        for prefixes, members in groups:
+            assert all(q[v] & ~prefixes[-1] == 0 for v in members if q[v])
+    followed = 0
+    for seq, forced, parent, depth in calls["q_path"]:
+        parent0 = bfs(tree_adjacency(parent), seq[0])[0]
+        runs = iter(q_path(seq, forced, parent, depth))
+        for i, x in enumerate(seq[1:], 1):
+            if forced >> x & 1 and not forced >> seq[i - 1] & 1:
+                prefixes, _members = next(runs)
+                last = prefixes[-1] ^ (prefixes[-2] if len(prefixes) > 1 else 0)
+                assert last == 1 << parent0[x]
+                followed += 1
+    assert followed > 300
+
+
+def test_purify_is_skipped_once_a_candidate_set_is_empty(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def purify_raises(q, groups):
+        raise Reached
+
+    calls = record_stages(monkeypatch, ("candidate_sets",))
+    monkeypatch.setattr(dfs_tree, "purify", purify_raises)
+    skipped = 0
+    for profile in [EMPTY_BY_INTERSECTION, *stage_corpus()]:
+        seen = len(calls["candidate_sets"])
+        try:
+            reason = recognize_dfs_tree(profile).reason
+        except Reached:
+            continue
+        if len(calls["candidate_sets"]) > seen:
+            assert not all(candidate_sets(*calls["candidate_sets"][-1])[0].values())
+            assert reason == EMPTY_Q
+            skipped += 1
+    assert skipped > 30
+
+
+def test_t_star_is_rooted_once_per_call(monkeypatch):
+    calls = record_stages(monkeypatch, ("_rooted_at", "candidate_sets"))
+    reached = 0
+    for profile in stage_corpus():
+        rooted, seen = len(calls["_rooted_at"]), len(calls["candidate_sets"])
+        recognize_dfs_tree(profile)
+        if len(calls["candidate_sets"]) > seen:
+            assert len(calls["_rooted_at"]) - rooted == 1
+            reached += 1
+    assert reached > 300
+    assert not hasattr(dfs_tree, "_balls")
 
 
 def test_each_forced_vertex_guides_at_most_one_run_per_ordering(monkeypatch):
@@ -334,12 +458,10 @@ def test_each_forced_vertex_guides_at_most_one_run_per_ordering(monkeypatch):
     for seq, forced, parent, depth in calls["q_path"]:
         assert forced >> seq[0] & 1  # so no run meets the guider -1
         runs = q_path(seq, forced, parent, depth)
-        guiders = [w for w, _path, _vs in runs]
+        guiders = [guider_of(prefixes) for prefixes, _vs in runs]
         assert all(forced >> w & 1 for w in guiders)
         assert len(set(guiders)) == len(guiders)
         # the runs are the row's free vertices, in order, each run right
         # after its guider
-        assert [v for _w, _path, vs in runs for v in vs] == [
-            x for x in seq if not forced >> x & 1
-        ]
-        assert all(seq[seq.index(vs[0]) - 1] == w for w, _path, vs in runs)
+        assert [v for _p, vs in runs for v in vs] == [x for x in seq if not forced >> x & 1]
+        assert all(seq[seq.index(vs[0]) - 1] == w for w, (_p, vs) in zip(guiders, runs))
