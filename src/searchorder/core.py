@@ -210,17 +210,19 @@ class Graph(Value):
         return Graph(Universe(sub_names), sub_edges)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        """Whether the graph has at most one component, counted by
+        union-find with path halving over the edge pairs (no `_adj`)."""
+        root = list(range(self.n))
+        parts = self.n
+        for u, v in self.edges:
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if u != v:
+                root[u] = v
+                parts -= 1
+        return parts <= 1
 
 
 class Tree(Graph):

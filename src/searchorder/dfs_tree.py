@@ -30,12 +30,14 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    refill a set). Each member's set lies on its run's path, and on a
    tree the vertex at position d of a path from w is at distance d
    from w, so a run's prefixes are all the distance balls around its
-   guider that its sets can tell apart. Each run of two or more
-   vertices is narrowed in one pass over its members: a binary search
+   guider that its sets can tell apart. A run of two or more vertices
+   whose sets are all equal cannot narrow and is skipped unsearched;
+   any other is narrowed in one pass over its members: a binary search
    over the prefixes finds each set's nearest and farthest distance
    and one mask AND narrows it, O(run length * log h) mask operations.
-   A run is passed over again only when one of its sets shrank, so
-   there are at most O(n h k) passes in all and usually a few per run.
+   A run is visited again only when one of its sets shrank (the index
+   from vertices to runs is built when one first does), so there are
+   at most O(n h k) passes in all and usually a few per run.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
    tree (the same linear check, O(k n)) is defensive and is never
@@ -168,30 +170,31 @@ def purify(q: dict[int, int], groups: list[tuple[list[int], list[int]]]) -> dict
     nearest distance before it and the smallest farthest distance after
     it, both read from the sets as the pass found them, by binary search
     over the group's prefixes (on a tree, position d on a path from w is
-    distance d from w). A group is visited again only when one of its
-    members changed. Removals are monotone,
-    so when no set empties, the fixed point is the same for every
-    visiting order; when one does, some set ends empty for every order.
+    distance d from w). A group whose sets are all equal (or all empty)
+    is skipped unsearched, as equal sets share both distances. A group
+    is visited again only when one of its members changed; the index
+    from members to their groups is built when a set first narrows.
+    Removals are monotone, so when no set empties, the fixed point is
+    the same for every visiting order; when one does, some set ends
+    empty for every order.
     """
     q = dict(q)
-    groups_of: dict[int, list[int]] = {}
-    for g, (_prefixes, members) in enumerate(groups):
-        for v in members:
-            groups_of.setdefault(v, []).append(g)
-
+    groups_of: dict[int, list[int]] = {}  # filled when a set first narrows
     pending = deque(range(len(groups)))
     queued = [True] * len(groups)
     while pending:
         g = pending.popleft()
         queued[g] = False
         prefixes, members = groups[g]
+        sets = [q[v] for v in members]
+        if sets.count(sets[0]) == len(sets):
+            continue  # equal sets share both distances: nothing narrows
         top = len(prefixes) - 1
         # nearest and farthest distance of each member's set; an empty set
         # bounds nothing. m & prefixes[d] grows with d: it is nonzero from the
         # nearest distance on and equals m from the farthest on.
         nears, fars = [], []
-        for v in members:
-            m = q[v]
+        for m in sets:
             key = m.__and__
             nears.append(bisect_left(prefixes, 1, key=key) if m else 0)
             fars.append(bisect_left(prefixes, m, key=key) if m else top)
@@ -203,9 +206,13 @@ def purify(q: dict[int, int], groups: list[tuple[list[int], list[int]]]) -> dict
             continue  # both distances rise along the group: nothing narrows
         for i, v in enumerate(members):
             low, high = floors[i], ceilings[i + 1]
-            if not q[v] or low <= nears[i] and fars[i] <= high:
+            if not sets[i] or low <= nears[i] and fars[i] <= high:
                 continue
             q[v] &= prefixes[high] & ~prefixes[low - 1] if low else prefixes[high]
+            if not groups_of:
+                for h, (_prefixes, vs) in enumerate(groups):
+                    for u in vs:
+                        groups_of.setdefault(u, []).append(h)
             for h in groups_of[v]:
                 if not queued[h]:
                     queued[h] = True

@@ -1,5 +1,7 @@
 """Core types (universe, graph, tree, ordering, profile) and text formats."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,25 @@ def test_is_connected():
     assert path3().is_connected()
     assert not Graph.build("abc", [("a", "b")]).is_connected()
     assert Graph.build("a", []).is_connected()
+    # every graph with n <= 6 and m <= n + 1 (cycles, forests, isolated
+    # vertices) against a plain search from vertex 0
+    checked = 0
+    for n in range(7):
+        uni = universe_of("abcdef"[:n])
+        for m in range(n + 2):
+            for edges in combinations(combinations(range(n), 2), m):
+                seen = {0} if n else set()
+                stack = [*seen]
+                while stack:
+                    u = stack.pop()
+                    for a, b in edges:
+                        w = b if a == u else a if b == u else None
+                        if w is not None and w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                assert Graph(uni, frozenset(edges)).is_connected() == (len(seen) == n), edges
+                checked += 1
+    assert checked == 17307
 
 
 # ---------------------------------------------------------------- tree
@@ -105,6 +126,8 @@ def test_tree_rejects_cycles_and_forests():
         Tree.build("abcd", [("a", "b"), ("c", "d")])
     with pytest.raises(NotATreeError):
         Tree(c4().universe, c4().edges)
+    with pytest.raises(NotATreeError):  # n - 1 edges: a cycle plus an isolated vertex
+        Tree.build("abcd", [("a", "b"), ("b", "c"), ("a", "c")])
 
 
 # ---------------------------------------------------------------- ordering

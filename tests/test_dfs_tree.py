@@ -11,6 +11,7 @@ from searchorder import (
     EMPTY_Q,
     FINAL_VERIFY_FAILED,
     FourPointProperty,
+    Graph,
     Ordering,
     Paradigm,
     Profile,
@@ -337,6 +338,18 @@ def record_stages(monkeypatch, stages=STAGES):
     return calls
 
 
+def count_bisects(monkeypatch):
+    """Wrap dfs_tree.bisect_left; each search appends the list it searched."""
+    searched = []
+
+    def counting(a, x, *, key, _inner=dfs_tree.bisect_left):
+        searched.append(a)
+        return _inner(a, x, key=key)
+
+    monkeypatch.setattr(dfs_tree, "bisect_left", counting)
+    return searched
+
+
 def test_stage_names_are_looked_up_at_call_time(monkeypatch):
     calls = record_stages(monkeypatch)
     assert recognize_dfs_tree(SHRINK).is_yes
@@ -372,20 +385,62 @@ def test_stages_match_their_references(monkeypatch):
             dw = bfs(adj, w)[1]
             for d, prefix in enumerate(prefixes):
                 assert prefix == sum(1 << x for x in iter_bits(prefixes[-1]) if dw[x] <= d)
-    narrowed = emptied = 0
+    narrowed = emptied = equal = narrowing_unequal = unsearched = 0
+    searched = count_bisects(monkeypatch)
     for profile, (q, groups) in purified:
         assert all(q.values())  # purify never sees a set that is already empty
         tstar = forced_subtree(build_attachment_digraph(profile))
+        seen = len(searched)
         cleaned = purify(q, groups)
         assert cleaned == reference_purify(q, groups, tstar)
         narrowed += cleaned != q
         emptied += not all(cleaned.values())
+        alike = [len({q[v] for v in members}) == 1 for _p, members in groups]
+        if all(alike):  # no group can narrow, so none is searched
+            assert len(searched) == seen and cleaned == q
+            unsearched += bool(groups)
+        equal += sum(alike)
+        narrowing_unequal += sum(
+            not same and any(cleaned[v] != q[v] for v in members)
+            for same, (_p, members) in zip(alike, groups)
+        )
     # the corpus reaches both stages often, narrows sets and empties some
     assert len(calls["q_path"]) > 300 and len(purified) > 100
     assert narrowed > 20 and emptied > 5
+    # most groups (380 of 542) enter with equal sets and are skipped, and
+    # 142 calls search nothing at all; unequal groups still narrow
+    assert equal > 300 and unsearched > 100 and narrowing_unequal > 50
     # planted at n = 100: DFS rows are YES; k = 2 GS rows end in EMPTY_Q,
     # k = 8 GS rows fail the restriction check before any Q-path
     assert reasons[-4:] == [None, EMPTY_Q, None, RESTRICTION_FAILS]
+
+
+# Q-path prefixes of a path 0 - 1 - 2 - 3 from its guider 0, in a T* whose
+# other vertices are free
+PATH_PREFIXES = [0b1, 0b11, 0b111, 0b1111]
+PATH_TSTAR = Graph.build("abcdefgh", [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+def test_purify_searches_no_group_whose_sets_are_all_equal(monkeypatch):
+    searched = count_bisects(monkeypatch)
+    q = {4: 0b0110, 5: 0b0110, 6: 0b1100, 7: 0b1100, 8: 0b1100}
+    groups = [(PATH_PREFIXES, [4, 5]), (PATH_PREFIXES, [6, 7, 8])]
+    assert purify(q, groups) == q == reference_purify(q, groups, PATH_TSTAR)
+    assert searched == []
+
+
+def test_purify_searches_only_the_group_that_can_narrow(monkeypatch):
+    searched = count_bisects(monkeypatch)
+    narrowing = [*PATH_PREFIXES]
+    # 6 before 7: Q(6)'s nearest distance 2 drops 1 from Q(7), and Q(7)'s
+    # farthest distance 2 drops 3 from Q(6). Both end as {2}, so the second
+    # visit of their group finds equal sets and searches nothing.
+    q = {4: 0b0110, 5: 0b0110, 6: 0b1100, 7: 0b0110}
+    groups = [(PATH_PREFIXES, [4, 5]), (narrowing, [6, 7])]
+    cleaned = purify(q, groups)
+    assert cleaned == {4: 0b0110, 5: 0b0110, 6: 0b0100, 7: 0b0100}
+    assert cleaned == reference_purify(q, groups, PATH_TSTAR)
+    assert len(searched) == 4 and all(a is narrowing for a in searched)
 
 
 def test_q_paths_hold_their_sets_and_meet_each_forced_vertex_at_its_dfs_parent(monkeypatch):
