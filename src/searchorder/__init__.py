@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "attachment": (
         "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
-        "RecognitionOutcome", "blocker_set", "build_attachment_digraph",
-        "enumerate_gs_tree_supports", "forced_subtree", "recognize_gs_tree",
+        "RecognitionOutcome", "build_attachment_digraph", "enumerate_gs_tree_supports",
+        "forced_subtree", "recognize_gs_tree",
     ),
     "dfs_tree": (
         "EMPTY_Q", "FINAL_VERIFY_FAILED", "RESTRICTION_FAILS", "TSTAR_NOT_SUPPORT_FULL",

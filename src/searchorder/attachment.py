@@ -18,9 +18,10 @@ Everything runs on vertex indices, with vertex sets as bitmasks (bit i
 set = index i). For n vertices and k orderings, with w = n/64 machine
 words per mask:
 
-    build_attachment_digraph   O(k n) mask operations, O(k n^2 / w)
-                               word operations; one out-neighbor mask
-                               per vertex, nothing sorted
+    build_attachment_digraph   k row sweeps, O(k n^2 / w) word operations,
+                               then one peel over a bytearray, O(k n)
+                               steps; memory: one out-neighbor mask per
+                               vertex plus k position lists, nothing sorted
     forced / free / sinks      O(n) mask tests
     recognize_gs_tree          the digraph, then O(n) on YES; a NO adds
                                one connectivity search, O(n + arcs)
@@ -34,7 +35,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable
 
-from .core import CapError, Graph, Ordering, Profile, Tree, Universe, Value, iter_bits
+from .core import CapError, Graph, Profile, Tree, Universe, Value, iter_bits
 
 DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 UNREALIZABLE_ATTACHMENT = "UNREALIZABLE_ATTACHMENT"
@@ -48,24 +49,6 @@ class RecognitionOutcome(Value):
 
     def __init__(self, is_yes: bool, tree: Tree | None = None, reason: str | None = None) -> None:
         self.__dict__.update(is_yes=is_yes, tree=tree, reason=reason)
-
-
-def blocker_set(sigma: Ordering, s: Iterable[str], x: str) -> frozenset[str]:
-    """Blockers of x within the surviving set s, under ordering sigma.
-
-    If x is the sigma-earliest member of s the result is the singleton
-    holding the second-earliest member; otherwise it is every member of
-    s before x.
-    """
-    members = sorted(s, key=sigma.position)
-    if x not in members:
-        raise ValueError(f"{x!r} is not in the surviving set")
-    if members[0] == x:
-        if len(members) < 2:
-            raise ValueError("top vertex of a singleton set has no blockers")
-        return frozenset({members[1]})
-    px = sigma.position(x)
-    return frozenset(y for y in members if sigma.position(y) < px)
 
 
 class AttachmentDigraph(Value):
@@ -123,8 +106,11 @@ class AttachmentDigraph(Value):
     def is_connected(self) -> bool:
         """Whether the attachment graph is connected.
 
-        Arcs lead from a vertex to one peeled in a strictly later round
-        (or from the lower to the higher of the final pair), so keeping
+        Arcs lead from a vertex v to one peeled in a strictly later round
+        (or from the lower to the higher of the final pair): a common
+        blocker precedes v in every row, and a runner-up is second of
+        three or more survivors in the rows v heads and precedes v in
+        the others, so neither is a row's bottom in v's round. Keeping
         one outgoing arc per non-sink gives a forest with one tree per
         sink. A single sink therefore connects everything, and only
         several sinks need a search.
@@ -135,56 +121,70 @@ class AttachmentDigraph(Value):
 def build_attachment_digraph(profile: Profile) -> AttachmentDigraph:
     """Peel bottom-ranked vertices and record their common blockers.
 
-    Each ordering keeps a head and a tail pointer over the `alive` mask;
-    a vertex's blockers in an ordering are its "before v" mask ANDed
-    with `alive`, unless it heads the survivors there.
-
-    When exactly two vertices survive, they are joined by one arc whose
-    direction carries no information; it runs from the lower index to
-    the higher, by convention.
+    One sweep per row leaves each vertex v with P(v), the vertices before
+    v in every row. No vertex of P(v) is a row's bottom while v survives,
+    so P(v) is v's set of common blockers whenever v heads no row's
+    survivors. If v heads a row, P(v) is empty; v keeps an arc only to a
+    runner-up u that is the same in every row v heads and precedes v in
+    every other row. Each row keeps a head and a tail pointer over the
+    `dead` flags. The last survivors get no arc, except that a final pair
+    is joined low index -> high (the direction carries no information).
     """
     uni = profile.universe
     n = uni.n
     rows = [ordering.seq for ordering in profile.orderings]
-    before: list[list[int]] = []
+    out = [-1] * n
+    places = []
     for seq in rows:
-        masks = [0] * n
+        place = [0] * n
         ahead = 0
-        for v in seq:
-            masks[v] = ahead
+        for i, v in enumerate(seq):
+            out[v] &= ahead
             ahead |= 1 << v
-        before.append(masks)
+            place[v] = i
+        places.append(place)
     heads = [0] * len(rows)
     tails = [n - 1] * len(rows)
-    alive = (1 << n) - 1
+    dead = bytearray(n)
     left = n
-    out = [0] * n
     while left >= 3:
         peeled = set()
         for r, seq in enumerate(rows):
-            while not alive >> seq[heads[r]] & 1:
-                heads[r] += 1
-            while not alive >> seq[tails[r]] & 1:
-                tails[r] -= 1
-            peeled.add(seq[tails[r]])
+            h = heads[r]
+            while dead[seq[h]]:
+                h += 1
+            heads[r] = h
+            t = tails[r]
+            while dead[seq[t]]:
+                t -= 1
+            tails[r] = t
+            peeled.add(seq[t])
         for v in peeled:
-            common = alive
-            for r, seq in enumerate(rows):
-                h = heads[r]
-                if seq[h] == v:  # v heads the survivors: blocked by the runner-up only
+            if out[v]:  # P(v) is non-empty only when v heads no row
+                continue
+            u = -1
+            for seq, h in zip(rows, heads):
+                if seq[h] == v:  # here v's only blocker is the runner-up
                     h += 1
-                    while not alive >> seq[h] & 1:
+                    while dead[seq[h]]:
                         h += 1
-                    common &= 1 << seq[h]
-                else:
-                    common &= before[r][v]
-            out[v] = common
+                    if 0 <= u != seq[h]:
+                        break  # the rows v heads disagree on the runner-up
+                    u = seq[h]
+            else:
+                if u >= 0:
+                    for place, seq, h in zip(places, rows, heads):
+                        if place[u] > place[v] and seq[h] != v:
+                            break  # u follows v in a row that v does not head
+                    else:
+                        out[v] = 1 << u
         for v in peeled:
-            alive ^= 1 << v
+            dead[v] = 1
         left -= len(peeled)
-    if left == 2:
-        low, high = iter_bits(alive)
-        out[low] |= 1 << high
+    low, high = dead.find(0), dead.rfind(0)  # the one or two survivors, if any
+    if low >= 0:
+        out[high] = 0
+        out[low] = 1 << high if low < high else 0
     return AttachmentDigraph(uni, tuple(out))
 
 

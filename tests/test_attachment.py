@@ -1,5 +1,9 @@
 """Attachment digraphs and tree recognition for the unrestricted paradigm."""
 
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,7 +15,6 @@ from searchorder import (
     Profile,
     UNREALIZABLE_ATTACHMENT,
     all_tree_supports,
-    blocker_set,
     build_attachment_digraph,
     enumerate_gs_tree_supports,
     forced_subtree,
@@ -20,7 +23,7 @@ from searchorder import (
     universe_of,
 )
 
-from conftest import profiles, random_profiles
+from conftest import planted_profiles, profiles, random_profiles
 
 SINGLE = Profile.build("abcd", [("a", "b", "c", "d")])
 PAIR = Profile.build("abcd", [("a", "b", "c", "d"), ("b", "a", "c", "d")])
@@ -43,6 +46,24 @@ def edge_sets(trees):
 
 
 # ------------------------------------------------------------ blocker sets
+
+
+def blocker_set(sigma, s, x):
+    """Blockers of x within the surviving set s, under ordering sigma.
+
+    If x is the sigma-earliest member of s the result is the singleton
+    holding the second-earliest member; otherwise it is every member of
+    s before x.
+    """
+    members = sorted(s, key=sigma.position)
+    if x not in members:
+        raise ValueError(f"{x!r} is not in the surviving set")
+    if members[0] == x:
+        if len(members) < 2:
+            raise ValueError("top vertex of a singleton set has no blockers")
+        return frozenset({members[1]})
+    px = sigma.position(x)
+    return frozenset(y for y in members if sigma.position(y) < px)
 
 
 def test_blocker_set_cases():
@@ -84,21 +105,36 @@ def test_forced_subtree_of_single_ordering():
     assert sorted(tstar.edge_names()) == [("a", "b")]
 
 
-def arcs_by_blocker_sets(profile):
+def arcs_by_blocker_sets(profile, cases=None):
     """The attachment arcs by the definition: peel the bottom vertex of
-    every ordering and join it to its common blockers, name by name."""
+    every ordering and join it to its common blockers, name by name.
+
+    `cases`, if given, counts how each peeled vertex that heads some
+    ordering's survivors fares, and how the peel ends."""
     surviving = set(profile.universe.names)
     arcs = set()
     while len(surviving) >= 3:
         peeled = {max(surviving, key=sigma.position) for sigma in profile}
         for v in peeled:
-            common = frozenset.intersection(
-                *(blocker_set(sigma, surviving, v) for sigma in profile)
-            )
+            blockers = [blocker_set(sigma, surviving, v) for sigma in profile]
+            common = frozenset.intersection(*blockers)
             arcs.update((v, u) for u in common)
+            runners = {
+                b for sigma, b in zip(profile, blockers)
+                if min(surviving, key=sigma.position) == v
+            }
+            if cases is not None and runners:
+                if common:
+                    cases["head keeps its runner-up"] += 1
+                elif len(runners) > 1:
+                    cases["runner-ups differ"] += 1
+                else:
+                    cases["runner-up after v in another row"] += 1
         surviving -= peeled
     if len(surviving) == 2:
         arcs.add(tuple(sorted(surviving, key=profile.universe.index)))
+    if cases is not None:
+        cases["ends with a pair" if len(surviving) == 2 else "ends with fewer"] += 1
     return arcs
 
 
@@ -106,6 +142,57 @@ def arcs_by_blocker_sets(profile):
 @settings(max_examples=200, deadline=None)
 def test_mask_built_arcs_match_blocker_sets(profile):
     assert set(build_attachment_digraph(profile).arc_names()) == arcs_by_blocker_sets(profile)
+
+
+def head_case_corpus():
+    """Seeded profiles that reach every case of the peel: random rows
+    (duplicates allowed), a row with its reverse, one adjacent
+    transposition of a row, a duplicated row, and planted trees."""
+    rng = random.Random(1616)
+    corpus = []
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        names = [f"x{i}" for i in range(n)]
+        rows = [rng.sample(names, n) for _ in range(rng.randint(1, 6))]
+        swapped = list(rows[0])
+        i = rng.randrange(n - 1)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        for variant in (rows, [rows[0], rows[0][::-1]], rows + [swapped], rows + [rows[-1]]):
+            corpus.append(Profile.build(names, variant))
+    for seed in range(6):
+        corpus.extend(planted_profiles(1616 + seed, 30 + 6 * seed, 1 + seed % 4))
+    return corpus
+
+
+def test_peel_cases_match_blocker_sets():
+    cases = Counter()
+    for profile in head_case_corpus():
+        got = set(build_attachment_digraph(profile).arc_names())
+        assert got == arcs_by_blocker_sets(profile, cases), profile
+    assert set(cases) == {
+        "head keeps its runner-up",
+        "runner-ups differ",
+        "runner-up after v in another row",
+        "ends with a pair",
+        "ends with fewer",
+    }, cases
+    assert min(cases.values()) >= 10, cases
+
+
+def test_build_memory_does_not_grow_with_the_row_count():
+    # the build keeps one mask per vertex and one short position list per
+    # row, so four times the rows add little to its peak
+    dfs_rows, _gs_rows = planted_profiles(1717, 2000, 8)
+    peaks = []
+    for k in (2, 8):
+        profile = Profile(dfs_rows.universe, dfs_rows.orderings[:k])
+        tracemalloc.start()
+        try:
+            build_attachment_digraph(profile)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 # ------------------------------------------------------------- recognition

@@ -1,15 +1,22 @@
 """Recognizers against the brute-force oracles beyond the acceptance
-corpus: a seeded n = 7 differential and metamorphic invariants."""
+corpus: a seeded n = 7 differential and metamorphic invariants; and,
+past the oracles' reach, relations that need no oracle at n = 200-400."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from searchorder import (
+    EMPTY_Q,
+    FINAL_VERIFY_FAILED,
+    RESTRICTION_FAILS,
+    UNREALIZABLE_ATTACHMENT,
     Paradigm,
     Profile,
     all_tree_supports,
     brute_force_tree_support,
+    build_attachment_digraph,
     certify_by_simulation,
     recognize_dfs_tree,
     recognize_gs_tree,
@@ -130,3 +137,59 @@ def test_relabelled_supports_are_the_relabelled_trees():
                 for t in all_tree_supports(moved, paradigm)
             }
             assert got == want, profile
+
+
+# ------------------------------------------------- no oracle, n = 200-400
+
+
+def _oracle_free_corpus():
+    """Planted DFS-row and GS-row profiles at n = 200-400, each followed
+    by two near misses: one adjacent transposition in one of its rows,
+    of the second and third vertices (which most often breaks GS
+    supports) or anywhere."""
+    rng = random.Random(1800)
+    corpus = []
+    for seed in range(10):
+        n, k = rng.choice((200, 300, 400)), rng.choice((2, 4, 8))
+        for profile in planted_profiles(1800 + seed, n, k):
+            corpus.append(profile)
+            for i in (1, rng.randrange(n - 1)):
+                rows = [list(sigma.names) for sigma in profile]
+                row = rng.choice(rows)
+                row[i], row[i + 1] = row[i + 1], row[i]
+                corpus.append(Profile.build(profile.universe.names, rows))
+    return corpus
+
+
+def _shuffle_universe(profile, rng):
+    names = list(profile.universe.names)
+    rng.shuffle(names)
+    return Profile.build(names, [sigma.names for sigma in profile])
+
+
+def _reverse_rows(profile, rng):
+    return Profile.build(profile.universe.names, [sigma.names for sigma in profile][::-1])
+
+
+def test_relations_that_need_no_oracle_at_n200_to_400():
+    rng = random.Random(1801)
+    reasons = Counter()
+    for profile in _oracle_free_corpus():
+        dfs, gs = recognize_dfs_tree(profile), recognize_gs_tree(profile)
+        assert dfs.reason != FINAL_VERIFY_FAILED
+        if dfs.is_yes:
+            assert gs.is_yes
+            arcs = build_attachment_digraph(profile).arcs
+            assert all((u, v) in arcs or (v, u) in arcs for u, v in dfs.tree.edge_names())
+        verdict = (dfs.is_yes, dfs.reason, gs.is_yes, gs.reason)
+        for change in (_shuffle_universe, _reverse_rows, _duplicate_a_row):
+            moved = change(profile, rng)
+            d, g = recognize_dfs_tree(moved), recognize_gs_tree(moved)
+            assert (d.is_yes, d.reason, g.is_yes, g.reason) == verdict, change.__name__
+        reasons["dfs", dfs.reason] += 1
+        reasons["gs", gs.reason] += 1
+    # each of these arises on this corpus: 27 DFS YES, 27 RESTRICTION_FAILS,
+    # 6 EMPTY_Q and 4 UNREALIZABLE_ATTACHMENT of 60 profiles
+    for kind, reason in (("dfs", None), ("dfs", RESTRICTION_FAILS), ("dfs", EMPTY_Q),
+                         ("gs", UNREALIZABLE_ATTACHMENT)):
+        assert reasons[kind, reason] >= 3, reasons
