@@ -23,17 +23,17 @@ words per mask:
                                steps; memory: one out-neighbor mask per
                                vertex plus k position lists, nothing sorted
     forced / free / sinks      O(n) mask tests
+    is_connected               one sink: O(n); else at most n - 1 mask
+                               merges, O(n^2 / w) words, no arc list
     recognize_gs_tree          the digraph, then O(n) on YES; a NO adds
-                               one connectivity search, O(n + arcs)
-    arcs, arc_names,           O(n + arcs), derived from the masks on
-    underlying_graph           demand
+                               is_connected
+    arcs, arc_names            O(n + arcs), read from the masks
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Iterable
 
 from .core import CapError, Graph, Profile, Tree, Universe, Value, iter_bits
 
@@ -81,16 +81,12 @@ class AttachmentDigraph(Value):
     def free(self) -> frozenset[str]:
         return frozenset(self.free_names())
 
-    def index_arcs(self) -> Iterable[tuple[int, int]]:
-        """Arcs as index pairs, sorted."""
-        for v, out in enumerate(self.out_masks):
-            for u in iter_bits(out):
-                yield v, u
-
     def arc_names(self) -> tuple[tuple[str, str], ...]:
         """Arcs as name pairs, sorted by index pair."""
         names = self.universe.names
-        return tuple([(names[v], names[u]) for v, u in self.index_arcs()])
+        return tuple(
+            [(names[v], names[u]) for v, out in enumerate(self.out_masks) for u in iter_bits(out)]
+        )
 
     @property
     def arcs(self) -> frozenset[tuple[str, str]]:
@@ -99,12 +95,8 @@ class AttachmentDigraph(Value):
     def sink_count(self) -> int:
         return sum(1 for out in self.out_masks if not out)
 
-    def underlying_graph(self) -> Graph:
-        """The attachment graph: arcs undirected."""
-        return Graph.from_pairs(self.universe, self.index_arcs())
-
     def is_connected(self) -> bool:
-        """Whether the attachment graph is connected.
+        """Whether the attachment graph (arcs undirected) is connected.
 
         Arcs lead from a vertex v to one peeled in a strictly later round
         (or from the lower to the higher of the final pair): a common
@@ -112,10 +104,29 @@ class AttachmentDigraph(Value):
         three or more survivors in the rows v heads and precedes v in
         the others, so neither is a row's bottom in v's round. Keeping
         one outgoing arc per non-sink gives a forest with one tree per
-        sink. A single sink therefore connects everything, and only
-        several sinks need a search.
+        sink. A single sink therefore connects everything. Otherwise a
+        union-find on the masks, each merged root holding its component's
+        mask, joins every vertex's component with its out-neighbors'.
         """
-        return self.sink_count() == 1 or self.underlying_graph().is_connected()
+        if self.sink_count() == 1:
+            return True
+        root = list(range(self.universe.n))
+        members: dict[int, int] = {}  # root of a merged component -> its mask
+        parts = len(root)
+        for v, out in enumerate(self.out_masks):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            inside = members.get(v, 1 << v)
+            outside = out & ~inside
+            while outside:
+                u = (outside & -outside).bit_length() - 1
+                while root[u] != u:
+                    root[u] = u = root[root[u]]
+                root[u] = v
+                members[v] = inside = inside | members.pop(u, 1 << u)
+                outside &= ~inside
+                parts -= 1
+        return parts <= 1
 
 
 def build_attachment_digraph(profile: Profile) -> AttachmentDigraph:
@@ -239,7 +250,7 @@ def enumerate_gs_tree_supports(profile: Profile) -> tuple[Tree, ...]:
     digraph = build_attachment_digraph(profile)
     if digraph.sink_count() != 1:
         return ()
-    if len(digraph.free) > FREE_VERTEX_CAP:
+    if profile.universe.n - digraph.forced_mask.bit_count() > FREE_VERTEX_CAP:
         raise CapError(f"profile has more than {FREE_VERTEX_CAP} free vertices")
     choice_lists = [
         [(v, u) for u in iter_bits(out)] for v, out in enumerate(digraph.out_masks) if out

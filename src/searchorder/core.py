@@ -173,22 +173,11 @@ class Graph(Value):
             sets[v].add(u)
         return tuple(frozenset(s) for s in sets)
 
-    def index_neighbors(self, i: int) -> frozenset[int]:
-        return self._adj[i]
-
-    def neighbors(self, name: str) -> tuple[str, ...]:
-        i, names = self.universe.index(name), self.universe.names
-        return tuple([names[j] for j in sorted(self._adj[i])])
-
     def degree(self, name: str) -> int:
         return len(self._adj[self.universe.index(name)])
 
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj), default=0)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        u, v = self.universe.index(a), self.universe.index(b)
-        return (min(u, v), max(u, v)) in self.edges
 
     def edge_names(self) -> tuple[tuple[str, str], ...]:
         """Edges as name pairs, sorted by index pair."""
@@ -197,17 +186,6 @@ class Graph(Value):
 
     def with_edges(self, extra: Iterable[tuple[str, str]]) -> Graph:
         return Graph(self.universe, self.edges.union(_index_pairs(self.universe, extra)))
-
-    def induced(self, names: Iterable[str]) -> Graph:
-        """Induced subgraph; the sub-universe keeps the original name order."""
-        keep = set(self.universe.index(v) for v in names)
-        sub_names = tuple(v for i, v in enumerate(self.universe.names) if i in keep)
-        # remap keeps the index order, so each pair stays oriented u < v
-        remap = {self.universe.index(v): k for k, v in enumerate(sub_names)}
-        sub_edges = frozenset(
-            [(remap[u], remap[v]) for u, v in self.edges if u in keep and v in keep]
-        )
-        return Graph(Universe(sub_names), sub_edges)
 
     def is_connected(self) -> bool:
         """Whether the graph has at most one component, counted by
@@ -259,19 +237,11 @@ class Ordering(Value):
         names = self.universe.names
         return tuple([names[i] for i in self.seq])
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {v: p for p, v in enumerate(self.seq)}
-
     def __len__(self) -> int:
         return len(self.seq)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
-
-    def position(self, name: str) -> int:
-        """1-based position of `name`."""
-        return self._pos[self.universe.index(name)] + 1
 
 
 class Profile(Value):

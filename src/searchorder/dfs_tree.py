@@ -8,21 +8,21 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    attachment graph rules out any tree support (generic search
    subsumes DFS). The connectivity search runs only when the digraph
    has several sinks.
-2. The forced vertices induce a subgraph T* that any support must
-   contain, so T* not being a tree is already a refutation. If every
-   vertex is forced, T* is the only candidate; verify it directly.
-   T* comes from the forced vertices' out-neighbor masks: O(n).
-3. Otherwise every ordering restricted to the forced set must be a
-   DFS-ordering of T* (a linear stack check: O(k n)), and each free
-   vertex v gets a candidate set Q(v): for each ordering, the T*-path
-   from v's *guider* (nearest preceding forced vertex) to the next
-   forced vertex x, less x, or to the ordering's first vertex when no
-   forced vertex follows, intersected over all orderings. One sweep
-   per ordering cuts it into runs, maximal stretches of free vertices
-   that share guider and path; each run walks its path once, by
-   parent and depth in T* rooted once per call, and keeps the masks of
-   the path's prefixes. An ordering's paths are disjoint stretches of the
-   DFS walk of T*, which crosses each edge twice: O(k n) steps in all.
+2. Any support contains T*, the arcs between forced vertices: O(n).
+   Arcs lead to strictly later peel rounds, at most one per forced
+   vertex, so T* is a forest, and a tree iff it has one edge fewer
+   than the forced vertices. All-forced profiles take the same path.
+3. Every ordering restricted to the forced set must be a DFS-ordering
+   of T* (a linear stack check: O(k n)), and each free vertex v gets a
+   candidate set Q(v): for each ordering, the T*-path from v's
+   *guider* (nearest preceding forced vertex) to the next forced
+   vertex x, less x, or to the ordering's first vertex when no forced
+   vertex follows, intersected over all orderings. One sweep per
+   ordering cuts it into runs, maximal stretches of free vertices that
+   share guider and path; each run walks its path once, by parent and
+   depth in T* rooted once per call, and keeps the masks of the path's
+   prefixes. An ordering's paths are disjoint stretches of the DFS
+   walk of T*, which crosses each edge twice: O(k n) steps in all.
    Runs stay the unit to the end.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
    to a fixed point; an empty set means no support exists, so
@@ -241,24 +241,17 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     forced_count = forced.bit_count()
     tstar = forced_subtree(digraph)
     rows = [sigma.seq for sigma in profile.orderings]
-    # Any tree support must contain T*, so a cycle or a second component in
-    # it already refutes every candidate.  Only supportable profiles are
-    # guaranteed to make it a tree.
-    start = (forced & -forced).bit_length() - 1
-    parent, depth = _rooted_at(tstar, start)
-    forced_is_tree = tstar.m == forced_count - 1 and len(depth) == forced_count
-
-    if forced_count == profile.universe.n:
-        if forced_is_tree and all(frontier_check(tstar, seq, FourPointProperty.D) for seq in rows):
-            return RecognitionOutcome(True, tree=Tree(tstar.universe, tstar.edges))
-        return RecognitionOutcome(False, reason=TSTAR_NOT_SUPPORT_FULL)
-
-    if not forced_is_tree:
-        return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
+    # Any support contains T*, a forest (arcs lead to later peel rounds, at
+    # most one per forced vertex), so T* must be a tree walked by every row
+    # restricted to the forced vertices: all of each row when all are forced.
+    reason = TSTAR_NOT_SUPPORT_FULL if forced_count == profile.universe.n else RESTRICTION_FAILS
+    if tstar.m != forced_count - 1:
+        return RecognitionOutcome(False, reason=reason)
     for seq in rows:
         if not frontier_check(tstar, [x for x in seq if forced >> x & 1], FourPointProperty.D):
-            return RecognitionOutcome(False, reason=RESTRICTION_FAILS)
+            return RecognitionOutcome(False, reason=reason)
 
+    parent, depth = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
     q, groups = candidate_sets(rows, forced, parent, depth)
     if all(q.values()):  # an empty set stays empty: purify cannot save it
         q = purify(q, groups)

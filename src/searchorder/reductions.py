@@ -204,15 +204,13 @@ def _bfs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     nsq = n * n
-    V = [f"v{i}" for i in range(1, n + 1)]
-    fgroups = [[f"f{i}_{p}" for p in range(1, nsq + 1)] for i in range(1, n + 1)]
-    fall = [f for group in fgroups for f in group]
+    drone = build_drone(n, nsq).graph  # the clique V, each v{i} with pendants f{i}_1..f{i}_nsq
+    names = list(drone.universe.names)
+    V = names[:n]
+    fgroups = [names[n + i * nsq : n + (i + 1) * nsq] for i in range(n)]
     Z = [f"z{q}" for q in range(1, n * (n + 1) + 1)] if bound == DEG else []
-    universe = V + fall + ["z"] + Z
-    edges = _clique(V)
-    for i in range(n):
-        edges.extend((V[i], f) for f in fgroups[i])
-    edges.extend(("z", zq) for zq in Z)
+    universe = names + ["z"] + Z
+    edges = [*drone.edge_names(), *(("z", zq) for zq in Z)]
 
     rows: list[list[str]] = []
     for a, b in edge_list:

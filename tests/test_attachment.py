@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from searchorder import (
     CapError,
     DISCONNECTED_ATTACHMENT,
+    Graph,
     Ordering,
     Paradigm,
     Profile,
@@ -55,15 +56,14 @@ def blocker_set(sigma, s, x):
     holding the second-earliest member; otherwise it is every member of
     s before x.
     """
-    members = sorted(s, key=sigma.position)
+    members = sorted(s, key=sigma.names.index)
     if x not in members:
         raise ValueError(f"{x!r} is not in the surviving set")
     if members[0] == x:
         if len(members) < 2:
             raise ValueError("top vertex of a singleton set has no blockers")
         return frozenset({members[1]})
-    px = sigma.position(x)
-    return frozenset(y for y in members if sigma.position(y) < px)
+    return frozenset(members[:members.index(x)])
 
 
 def test_blocker_set_cases():
@@ -114,14 +114,14 @@ def arcs_by_blocker_sets(profile, cases=None):
     surviving = set(profile.universe.names)
     arcs = set()
     while len(surviving) >= 3:
-        peeled = {max(surviving, key=sigma.position) for sigma in profile}
+        peeled = {max(surviving, key=sigma.names.index) for sigma in profile}
         for v in peeled:
             blockers = [blocker_set(sigma, surviving, v) for sigma in profile]
             common = frozenset.intersection(*blockers)
             arcs.update((v, u) for u in common)
             runners = {
                 b for sigma, b in zip(profile, blockers)
-                if min(surviving, key=sigma.position) == v
+                if min(surviving, key=sigma.names.index) == v
             }
             if cases is not None and runners:
                 if common:
@@ -195,6 +195,49 @@ def test_build_memory_does_not_grow_with_the_row_count():
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def far_swapped_planted():
+    """Planted DFS rows with row 0's second vertex swapped with one from
+    its back half: often several sinks, connected or not."""
+    rng = random.Random(1818)
+    corpus = []
+    for seed in range(150):
+        dfs_rows, _gs_rows = planted_profiles(1818 + seed, 10 + seed % 50, 1 + seed % 8)
+        rows = [list(sigma.names) for sigma in dfs_rows]
+        far = rng.randrange(len(rows[0]) // 2, len(rows[0]))
+        rows[0][1], rows[0][far] = rows[0][far], rows[0][1]
+        corpus.append(Profile.build(dfs_rows.universe.names, rows))
+    return corpus
+
+
+def test_connectivity_matches_the_arc_graph_with_several_sinks():
+    seen = Counter()
+    for profile in head_case_corpus() + far_swapped_planted():
+        dg = build_attachment_digraph(profile)
+        if dg.sink_count() > 1:
+            connected = dg.is_connected()
+            assert connected == Graph.build(dg.universe.names, dg.arc_names()).is_connected()
+            seen[connected] += 1
+    assert min(seen[True], seen[False]) >= 20, seen
+
+
+def test_connectivity_memory_does_not_grow_with_the_arc_count():
+    # one far swap leaves two sinks and about 2 * 10^5 arcs; the merge keeps
+    # one mask per merged component, not a graph of the arcs
+    dfs_rows, _gs_rows = planted_profiles(11004, 2000, 4)
+    rows = [list(sigma.names) for sigma in dfs_rows]
+    rows[0][1], rows[0][1000] = rows[0][1000], rows[0][1]
+    dg = build_attachment_digraph(Profile.build(dfs_rows.universe.names, rows))
+    assert dg.sink_count() == 2
+    assert sum(out.bit_count() for out in dg.out_masks) > 200_000
+    tracemalloc.start()
+    try:
+        assert dg.is_connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 # ------------------------------------------------------------- recognition
 
 
@@ -217,7 +260,8 @@ def test_recognize_no_when_attachment_splits(profile):
 @pytest.mark.parametrize("profile", [UNREALIZABLE_STAR, UNREALIZABLE_FOREST])
 def test_recognize_no_when_arcs_cannot_span(profile):
     # connectivity of the attachment graph alone is not enough
-    assert build_attachment_digraph(profile).underlying_graph().is_connected()
+    dg = build_attachment_digraph(profile)
+    assert dg.is_connected() and Graph.build(dg.universe.names, dg.arc_names()).is_connected()
     out = recognize_gs_tree(profile)
     assert (out.is_yes, out.reason) == (False, UNREALIZABLE_ATTACHMENT)
     assert enumerate_gs_tree_supports(profile) == ()
@@ -258,7 +302,7 @@ def test_recognizer_against_oracle_seeded():
 
 def test_every_support_lives_inside_the_attachment_graph():
     for profile in random_profiles(412, 120, sizes=(4, 5)):
-        skeleton = build_attachment_digraph(profile).underlying_graph()
+        arcs = build_attachment_digraph(profile).arcs
         for tree in all_tree_supports(profile, Paradigm.GS):
             for u, v in tree.edge_names():
-                assert skeleton.has_edge(u, v)
+                assert (u, v) in arcs or (v, u) in arcs

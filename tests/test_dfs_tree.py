@@ -154,8 +154,9 @@ def test_purification_can_empty_a_candidate_set():
 
 def test_forest_fixture_really_has_a_forest_of_forced_vertices():
     dg = build_attachment_digraph(FOREST_TSTAR)
-    induced = dg.underlying_graph().induced(dg.forced_names())
-    assert induced.m < induced.n - 1  # forest with several components
+    # T*, the graph the attachment arcs induce on the forced vertices, is a
+    # forest with several components
+    assert forced_subtree(dg).m < len(dg.forced_names()) - 1
 
 
 def test_recognizer_against_oracle_seeded():
@@ -287,7 +288,7 @@ def reference_purify(q, groups, tstar):
         for v in members:
             groups_of.setdefault(v, []).append(g)
 
-    adj = {v: tstar.index_neighbors(v) for v in range(tstar.n)}
+    adj = tstar._adj
     distances = {}
     pending = deque(range(len(groups)))
     queued = [True] * len(groups)

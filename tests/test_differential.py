@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from searchorder import (
+    DISCONNECTED_ATTACHMENT,
     EMPTY_Q,
     FINAL_VERIFY_FAILED,
     RESTRICTION_FAILS,
@@ -193,3 +194,55 @@ def test_relations_that_need_no_oracle_at_n200_to_400():
     for kind, reason in (("dfs", None), ("dfs", RESTRICTION_FAILS), ("dfs", EMPTY_Q),
                          ("gs", UNREALIZABLE_ATTACHMENT)):
         assert reasons[kind, reason] >= 3, reasons
+
+
+def _dfs_run(tree, rng):
+    """A DFS-ordering of tree from a random root, children in random order."""
+    adj, names = tree._adj, tree.universe.names
+    root = rng.randrange(tree.n)
+    row, stack, seen = [], [root], {root}
+    while stack:
+        u = stack.pop()
+        row.append(names[u])
+        children = [w for w in adj[u] if w not in seen]
+        rng.shuffle(children)
+        seen.update(children)
+        stack.extend(children)  # on a tree each subtree ends before the next child
+    return row
+
+
+def test_row_deletion_witness_runs_and_far_swaps_at_n200_to_400():
+    """Deleting rows keeps a YES, a fresh DFS run of the DFS witness keeps
+    a DFS YES, and near misses that swap one of a row's first three
+    vertices with one from its last three quarters reach every NO reason
+    that large planted profiles can give."""
+    rng = random.Random(1900)
+    reasons = Counter()
+    for seed in range(20):
+        n, k = rng.choice((200, 400)), rng.choice((2, 4, 8))
+        for profile in planted_profiles(1900 + seed, n, k):
+            names, rows = profile.universe.names, [sigma.names for sigma in profile]
+            dfs, gs = recognize_dfs_tree(profile), recognize_gs_tree(profile)
+            assert gs.is_yes
+            fewer = Profile.build(names, rng.sample(rows, rng.randint(1, k)))
+            assert recognize_gs_tree(fewer).is_yes
+            if dfs.is_yes:
+                assert recognize_dfs_tree(fewer).is_yes
+                grown = Profile.build(names, rows + [_dfs_run(dfs.tree, rng)])
+                assert recognize_dfs_tree(grown).is_yes
+                reasons["dfs", "witness run added"] += 1
+            for _ in range(2):
+                swapped = [list(row) for row in rows]
+                row = rng.choice(swapped)
+                i, j = rng.randrange(3), rng.randrange(n // 4, n)
+                row[i], row[j] = row[j], row[i]
+                miss = Profile.build(names, swapped)
+                d, g = recognize_dfs_tree(miss), recognize_gs_tree(miss)
+                assert d.reason != FINAL_VERIFY_FAILED and (g.is_yes or not d.is_yes)
+                reasons["dfs", d.reason] += 1
+                reasons["gs", g.reason] += 1
+    assert reasons["dfs", "witness run added"] >= 20, reasons  # every DFS-row profile
+    for kind, reason in (("dfs", DISCONNECTED_ATTACHMENT), ("dfs", RESTRICTION_FAILS),
+                         ("dfs", EMPTY_Q), ("gs", DISCONNECTED_ATTACHMENT),
+                         ("gs", UNREALIZABLE_ATTACHMENT)):
+        assert reasons[kind, reason] >= 1, reasons

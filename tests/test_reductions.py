@@ -57,7 +57,7 @@ def test_drone_structure():
     clique = [v for v in g.universe.names if g.degree(v) > 1]
     assert len(clique) == 3
     for v in clique:
-        pendants = [u for u in g.neighbors(v) if g.degree(u) == 1]
+        pendants = [u for e in g.edge_names() if v in e for u in e if g.degree(u) == 1]
         assert len(pendants) == 2
     with pytest.raises(ValueError):
         build_drone(0, 1)

@@ -22,6 +22,7 @@ from conftest import random_profiles
 PACKAGE = Path(searchorder.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 
 def test_every_public_name_resolves():
@@ -158,6 +159,32 @@ def test_every_private_name_has_a_user():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(defined - used) == []
+
+
+def _attributes_read(paths):
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_method_has_a_user_in_the_package_or_perfbench():
+    # the tests alone do not keep a method alive
+    read = _attributes_read([*MODULES, *PERFBENCH.glob("*.py")])
+    unused = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in read
+                ]
+    assert unused == []
 
 
 def test_random_profiles_refuses_more_rows_than_permutations():
