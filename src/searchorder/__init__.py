@@ -23,8 +23,7 @@ _EXPORTS = {
         "enumerate_orderings", "generate_ordering",
     ),
     "verifiers": (
-        "PARADIGM_PROPERTY", "FourPointProperty", "certify_by_simulation",
-        "is_partial_ordering", "is_s_ordering", "satisfies_property",
+        "certify_by_simulation", "is_partial_ordering", "is_s_ordering", "satisfies_property",
     ),
     "attachment": (
         "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
@@ -36,11 +35,10 @@ _EXPORTS = {
         "recognize_dfs_tree",
     ),
     "oracles": (
-        "DegBounded", "EdgeBounded", "OracleResult", "ProblemKind", "TreeSupport",
-        "all_tree_supports", "brute_force_graph_support", "brute_force_tree_support",
-        "enumerate_labeled_trees", "min_vertex_cover",
+        "OracleResult", "all_tree_supports", "brute_force_graph_support",
+        "brute_force_tree_support", "enumerate_labeled_trees", "min_vertex_cover",
     ),
-    "reductions": ("Drone", "ReductionInstance", "build_drone", "reduce", "validate_forward"),
+    "reductions": ("ReductionInstance", "build_drone", "reduce", "validate_forward"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .core import CapError, FormatError, Ordering, parse_bounded_profile, parse_graph
+from .core import DEG, EDGE, CapError, FormatError, Ordering, parse_bounded_profile, parse_graph
 from .traversals import (
     DEFAULT_ENUMERATION_CAP,
     Paradigm,
@@ -47,7 +47,7 @@ def _dot_id(name: str) -> str:
 
 def verify(args: argparse.Namespace) -> int:
     """Check whether an ordering is a valid search ordering."""
-    from .verifiers import PARADIGM_PROPERTY, is_s_ordering, satisfies_property
+    from .verifiers import is_s_ordering, satisfies_property
 
     para = Paradigm(args.paradigm)
     graph = _parse(args.graph, parse_graph)
@@ -56,8 +56,8 @@ def verify(args: argparse.Namespace) -> int:
         print("YES")
         return 0
     print("NO")
-    if para in PARADIGM_PROPERTY:  # every paradigm but MCS names a violating triple
-        _, violation = satisfies_property(graph, sigma, PARADIGM_PROPERTY[para])
+    if para is not Paradigm.MCS:  # every paradigm but MCS names a violating triple
+        _, violation = satisfies_property(graph, sigma, para)
         print("violating triple: " + " ".join(violation))
     return 1
 
@@ -121,14 +121,14 @@ def solve(args: argparse.Namespace) -> int:
     from . import oracles
 
     profile, file_k = _parse(args.profile, parse_bounded_profile)
+    para = Paradigm(args.paradigm)
     if args.problem == "tree":
-        kind: oracles.ProblemKind = oracles.TreeSupport()
+        result = oracles.brute_force_tree_support(profile, para)
     else:
         k = args.k if args.k is not None else file_k
         if k is None:
             args.parser.error("--k is required for edge/deg problems")
-        kind = oracles.EdgeBounded(k) if args.problem == "edge" else oracles.DegBounded(k)
-    result = oracles.brute_force_graph_support(profile, Paradigm(args.paradigm), kind)
+        result = oracles.brute_force_graph_support(profile, para, args.problem, k)
     if not result.is_yes:
         print("NO")
         return 1
@@ -195,7 +195,7 @@ def _parser() -> argparse.ArgumentParser:
                      help="Emit GraphViz DOT instead of plain arcs.")
 
     sub = command("solve", solve)
-    sub.add_argument("--problem", required=True, choices=["tree", "edge", "deg"])
+    sub.add_argument("--problem", required=True, choices=["tree", EDGE, DEG])
     paradigm(sub)
     sub.add_argument("--profile", required=True)
     sub.add_argument("--k", type=int,
@@ -203,9 +203,9 @@ def _parser() -> argparse.ArgumentParser:
                           "in the profile file if present.")
 
     sub = command("reduce", reduce)
-    # every paradigm but GS has a reduction; the bounds are reductions.EDGE and DEG
+    # every paradigm but GS has a reduction
     paradigm(sub, [p.value for p in Paradigm if p is not Paradigm.GS])
-    sub.add_argument("--bound", required=True, choices=["edge", "deg"])
+    sub.add_argument("--bound", required=True, choices=[EDGE, DEG])
     sub.add_argument("--graph", required=True)
     sub.add_argument("--kappa", required=True, type=int)
     sub.add_argument("--out", required=True)

@@ -27,6 +27,10 @@ class NotATreeError(RuntimeError):
     """Raised when a graph expected to be a tree is not one."""
 
 
+# the bounded-support problems: a support with at most k edges, or of maximum degree at most k
+EDGE, DEG = "edge", "deg"
+
+
 def _check_name(name: str) -> str:
     # Names appear as whitespace-separated tokens in files, so they may not
     # contain whitespace, ':' (reserved for header lines) or '#' (comments).

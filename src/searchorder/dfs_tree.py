@@ -62,7 +62,8 @@ from .attachment import (
     forced_subtree,
 )
 from .core import Graph, Profile, Tree
-from .verifiers import FourPointProperty, frontier_check
+from .traversals import Paradigm
+from .verifiers import frontier_check
 
 TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
 RESTRICTION_FAILS = "RESTRICTION_FAILS"
@@ -248,7 +249,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     if tstar.m != forced_count - 1:
         return RecognitionOutcome(False, reason=reason)
     for seq in rows:
-        if not frontier_check(tstar, [x for x in seq if forced >> x & 1], FourPointProperty.D):
+        if not frontier_check(tstar, [x for x in seq if forced >> x & 1], Paradigm.DFS):
             return RecognitionOutcome(False, reason=reason)
 
     parent, depth = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
@@ -260,7 +261,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
 
     tree = assign_parents(tstar, q)
     for seq in rows:
-        if not frontier_check(tree, seq, FourPointProperty.D):
+        if not frontier_check(tree, seq, Paradigm.DFS):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
             warnings.warn("assembled tree failed final verification", RuntimeWarning)

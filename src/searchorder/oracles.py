@@ -19,8 +19,9 @@ connected. Sorting them by Prüfer code restores the order of
 `certify_by_simulation` replays every row through the label simulation,
 never the four-point shortcuts or the attachment digraph, so the oracles
 share no nontrivial code path with the recognizers they check. The
-bounded problems try edge subsets of increasing size, with the same
-growth check on each whole subset before simulation.
+bounded problems, named by a bound (EDGE or DEG) and its k, try edge
+subsets of increasing size, with the same growth check on each whole
+subset before simulation.
 
 Every search here is exponential, so each raises CapError above a fixed
 size, set by the module constants: n = 8 for tree supports, 5 for the
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, product
-from typing import Iterator, Union
+from typing import Iterator
 
-from .core import CapError, Graph, Profile, Tree, Value, universe_of
+from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Value, universe_of
 from .traversals import Paradigm
 from .verifiers import certify_by_simulation
 
@@ -41,27 +42,6 @@ TREE_ENUMERATION_CAP = 8
 EDGE_SEARCH_CAP = 5
 DEG_SEARCH_CAP = 6
 VERTEX_COVER_CAP = 20
-
-
-class EdgeBounded(Value):
-    _fields = ("k",)
-
-    def __init__(self, k: int) -> None:
-        self.__dict__["k"] = k
-
-
-class DegBounded(Value):
-    _fields = ("k",)
-
-    def __init__(self, k: int) -> None:
-        self.__dict__["k"] = k
-
-
-class TreeSupport(Value):
-    pass
-
-
-ProblemKind = Union[EdgeBounded, DegBounded, TreeSupport]
 
 
 class OracleResult(Value):
@@ -217,13 +197,15 @@ def all_tree_supports(profile: Profile, paradigm: Paradigm) -> tuple[Tree, ...]:
 
 
 def brute_force_graph_support(
-    profile: Profile, paradigm: Paradigm, kind: ProblemKind
+    profile: Profile, paradigm: Paradigm, bound: str, k: int
 ) -> OracleResult:
-    """Exact solver for the bounded-support decision problems.
+    """Exact solver for the bounded-support decision problems: a support
+    with at most k edges (bound EDGE) or with maximum degree at most k
+    (bound DEG).
 
-    EdgeBounded returns the witness with the fewest edges
-    (lexicographically least among those); DegBounded returns the first
-    witness in the same subset order whose degrees respect the bound.
+    EDGE returns the witness with the fewest edges (lexicographically
+    least among those); DEG returns the first witness in the same subset
+    order whose degrees respect the bound.
 
     Only connected candidates count: a traversal visits every vertex,
     so a disconnected graph never replays a full ordering without an
@@ -231,21 +213,21 @@ def brute_force_graph_support(
     a support of anything. Every row growing connected implies it, and
     that is the filter applied before simulation.
     """
-    if isinstance(kind, TreeSupport):
-        return brute_force_tree_support(profile, paradigm)
+    if bound not in (EDGE, DEG):
+        raise ValueError(f"bound must be '{EDGE}' or '{DEG}'")
     n = profile.universe.n
-    limit = EDGE_SEARCH_CAP if isinstance(kind, EdgeBounded) else DEG_SEARCH_CAP
+    limit = EDGE_SEARCH_CAP if bound == EDGE else DEG_SEARCH_CAP
     if n > limit:
         raise CapError(f"graph search needs n <= {limit}, got n = {n}")
-    if kind.k < 0:
+    if k < 0:
         raise ValueError("bound must be non-negative")
     seqs = [o.seq for o in profile.orderings]
     all_edges = list(combinations(range(n), 2))
-    max_size = len(all_edges) if isinstance(kind, DegBounded) else min(kind.k, len(all_edges))
+    max_size = len(all_edges) if bound == DEG else min(k, len(all_edges))
     for size in range(max(0, n - 1), max_size + 1):
         for subset in combinations(all_edges, size):
             masks = _masks(n, subset)
-            if isinstance(kind, DegBounded) and any(m.bit_count() > kind.k for m in masks):
+            if bound == DEG and any(m.bit_count() > k for m in masks):
                 continue
             if not all(_grows_connected(masks, seq) for seq in seqs):
                 continue

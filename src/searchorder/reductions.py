@@ -22,27 +22,19 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .core import FormatError, Graph, Profile, Value, emit_profile, parse_bounded_profile
+from .core import (
+    DEG, EDGE, FormatError, Graph, Profile, Value, emit_profile, parse_bounded_profile,
+)
 from .traversals import Paradigm, complete_prefix
 from .verifiers import is_s_ordering
 
-EDGE = "edge"
-DEG = "deg"
 ATTACH_VERTEX = "z"  # the gadget vertex a cover is attached to
 
 _T = TypeVar("_T")
 
 
-class Drone(Value):
+def build_drone(p: int, q: int) -> Graph:
     """A clique of p vertices, each carrying q pendant leaves."""
-
-    _fields = ("p", "q", "graph")
-
-    def __init__(self, p: int, q: int, graph: Graph) -> None:
-        self.__dict__.update(p=p, q=q, graph=graph)
-
-
-def build_drone(p: int, q: int) -> Drone:
     if p < 1 or q < 0:
         raise ValueError("drone needs p >= 1 and q >= 0")
     core = [f"v{i}" for i in range(1, p + 1)]
@@ -55,7 +47,7 @@ def build_drone(p: int, q: int) -> Drone:
             leaf = f"f{i}_{j}"
             names.append(leaf)
             edges.append((v, leaf))
-    return Drone(p, q, Graph.build(names, edges))
+    return Graph.build(names, edges)
 
 
 def _metadata(meta: dict[str, str], key: str, read: Callable[[str], _T]) -> _T:
@@ -204,7 +196,7 @@ def _bfs_instance(source: Graph, bound: str):
     n = source.n
     edge_list = sorted(source.edges)
     nsq = n * n
-    drone = build_drone(n, nsq).graph  # the clique V, each v{i} with pendants f{i}_1..f{i}_nsq
+    drone = build_drone(n, nsq)  # the clique V, each v{i} with pendants f{i}_1..f{i}_nsq
     names = list(drone.universe.names)
     V = names[:n]
     fgroups = [names[n + i * nsq : n + (i + 1) * nsq] for i in range(n)]

@@ -3,18 +3,17 @@
 Six of the seven paradigms admit a "four-point" characterization: an
 ordering sigma is a valid search ordering iff for every triple
 a < b < c (in sigma order) with {a,c} an edge and {a,b} not an edge,
-some witness vertex d adjacent to b exists in a property-specific
-scope:
+some witness vertex d adjacent to b exists in a paradigm-specific
+scope. The paper's letter for each property names its paradigm:
 
-    S   d before b
-    B   d before a
-    D   d strictly between a and b
-    LB  d before a,           d not adjacent to c
-    LD  d strictly between a and b, d not adjacent to c
-    M   d before b,           d not adjacent to c
+    S   GS      d before b
+    B   BFS     d before a
+    D   DFS     d strictly between a and b
+    LB  LexBFS  d before a,           d not adjacent to c
+    LD  LexDFS  d strictly between a and b, d not adjacent to c
+    M   MNS     d before b,           d not adjacent to c
 
-S characterizes generic search, B characterizes BFS, D characterizes
-DFS, LB LexBFS, LD LexDFS, and M MNS. MCS has no such characterization.
+MCS has no such characterization.
 
 Two engines decide `is_s_ordering`: `frontier_check`, one O(n + m) pass,
 for GS, BFS and DFS; and `certify_by_simulation`, which replays the
@@ -30,46 +29,24 @@ candidate when visited extends to a full ordering.
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from typing import Sequence
 
 from .core import Graph, Ordering, iter_bits
 from .traversals import LabelState, Paradigm
 
 
-class FourPointProperty(Enum):
-    S = "S"
-    B = "B"
-    D = "D"
-    LB = "LB"
-    LD = "LD"
-    M = "M"
-
-
-PARADIGM_PROPERTY: dict[Paradigm, FourPointProperty] = {
-    Paradigm.GS: FourPointProperty.S,
-    Paradigm.BFS: FourPointProperty.B,
-    Paradigm.DFS: FourPointProperty.D,
-    Paradigm.LEXBFS: FourPointProperty.LB,
-    Paradigm.LEXDFS: FourPointProperty.LD,
-    Paradigm.MNS: FourPointProperty.M,
-}
-
-# witness scope is relative to positions of a and b; the *_C properties
+# witness scope is relative to positions of a and b; LB, LD and M
 # additionally require the witness to avoid c's neighborhood
-_SCOPE_BEFORE_B = (FourPointProperty.S, FourPointProperty.M)
-_SCOPE_BEFORE_A = (FourPointProperty.B, FourPointProperty.LB)
-_NEEDS_NONNEIGHBOR_OF_C = (
-    FourPointProperty.LB,
-    FourPointProperty.LD,
-    FourPointProperty.M,
-)
+_SCOPE_BEFORE_B = (Paradigm.GS, Paradigm.MNS)
+_SCOPE_BEFORE_A = (Paradigm.BFS, Paradigm.LEXBFS)
+_NEEDS_NONNEIGHBOR_OF_C = (Paradigm.LEXBFS, Paradigm.LEXDFS, Paradigm.MNS)
+_FRONTIER = (Paradigm.GS, Paradigm.BFS, Paradigm.DFS)  # what frontier_check decides
 
 
 def satisfies_property(
-    graph: Graph, sigma: Ordering, prop: FourPointProperty
+    graph: Graph, sigma: Ordering, paradigm: Paradigm
 ) -> tuple[bool, tuple[str, str, str] | None]:
-    """Check a four-point property.
+    """Check the paradigm's four-point property.
 
     Returns (True, None) if it holds, else (False, (a, b, c)) with the
     violating triple that is first in lexicographic position order.
@@ -77,6 +54,8 @@ def satisfies_property(
     each resolved with O(n/64)-word mask operations (plus a scan over
     a's later neighbors for the properties whose witness depends on c).
     """
+    if paradigm is Paradigm.MCS:
+        raise ValueError("MCS has no four-point characterization")
     n = graph.n
     if sigma.universe != graph.universe:
         raise ValueError("ordering must permute the graph's vertex set")
@@ -88,7 +67,7 @@ def satisfies_property(
         adj[pu] |= 1 << pv
         adj[pv] |= 1 << pu
     full = (1 << n) - 1
-    needs_c = prop in _NEEDS_NONNEIGHBOR_OF_C
+    needs_c = paradigm in _NEEDS_NONNEIGHBOR_OF_C
 
     def triple(pa: int, pb: int, pc: int) -> tuple[str, str, str]:
         name = graph.universe.name
@@ -101,9 +80,9 @@ def satisfies_property(
             later_cs = neigh_a & ~((1 << (pb + 1)) - 1)
             if not later_cs:
                 continue
-            if prop in _SCOPE_BEFORE_B:
+            if paradigm in _SCOPE_BEFORE_B:
                 scope = (1 << pb) - 1
-            elif prop in _SCOPE_BEFORE_A:
+            elif paradigm in _SCOPE_BEFORE_A:
                 scope = (1 << pa) - 1
             else:  # strictly between a and b
                 scope = ((1 << pb) - 1) & ~((1 << (pa + 1)) - 1)
@@ -120,16 +99,19 @@ def satisfies_property(
     return True, None
 
 
-def frontier_check(graph: Graph, seq: Sequence[int], prop: FourPointProperty) -> bool:
+def frontier_check(graph: Graph, seq: Sequence[int], paradigm: Paradigm) -> bool:
     """Whether seq, listing once each vertex of the graph that has an edge,
-    has property S, B or D, in O(n + m) time. Visited vertices sit in a
-    deque; one with no unvisited neighbour left is finished and is dropped
-    as it reaches the front (B), the back (D) or either end (S). While one
-    is unfinished, the next vertex must be adjacent to the front (B), the
-    back (D) or any visited vertex (S), else it starts a new component."""
+    has property S, B or D of GS, BFS or DFS, in O(n + m) time; any other
+    paradigm is a ValueError. Visited vertices sit in a deque; one with no
+    unvisited neighbour left is finished and is dropped as it reaches the
+    front (B), the back (D) or either end (S). While one is unfinished, the
+    next vertex must be adjacent to the front (B), the back (D) or any
+    visited vertex (S), else it starts a new component."""
+    if paradigm not in _FRONTIER:
+        raise ValueError(f"frontier_check decides GS, BFS or DFS, not {paradigm.name}")
     adj = graph._adj
     unvisited = [len(neighbors) for neighbors in adj]
-    from_front, from_back = prop is not FourPointProperty.D, prop is not FourPointProperty.B
+    from_front, from_back = paradigm is not Paradigm.DFS, paradigm is not Paradigm.BFS
     anywhere, end = from_front and from_back, 0 if from_front else -1
     visited: deque[int] = deque()
     for x in seq:
@@ -148,11 +130,11 @@ def frontier_check(graph: Graph, seq: Sequence[int], prop: FourPointProperty) ->
 def is_s_ordering(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
     """Whether sigma is a valid ordering of the paradigm: by
     `frontier_check` for GS, BFS and DFS, and by simulation for the rest."""
-    if paradigm not in (Paradigm.GS, Paradigm.BFS, Paradigm.DFS):
+    if paradigm not in _FRONTIER:
         return certify_by_simulation(graph, sigma, paradigm)
     if sigma.universe != graph.universe:
         raise ValueError("ordering must permute the graph's vertex set")
-    return frontier_check(graph, sigma.seq, PARADIGM_PROPERTY[paradigm])
+    return frontier_check(graph, sigma.seq, paradigm)
 
 
 def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:

@@ -63,6 +63,20 @@ def test_verify_mcs_has_no_triple_diagnostic(files, capsys):
     assert capsys.readouterr().out == "NO\n"
 
 
+# the triple each paradigm's four-point property names; MCS has none
+TRIPLES = {"gs": "c d b", "bfs": "c d b", "dfs": "c e b", "lexbfs": "c d b",
+           "lexdfs": "c e b", "mcs": None, "mns": "c d b"}
+
+
+@pytest.mark.parametrize("paradigm", TRIPLES)
+def test_verify_names_each_paradigms_own_triple(files, capsys, paradigm):
+    graph = files("g.txt", "vertices: a b c d e\na c\na e\nb c\nb d\n")
+    code = run(["verify", "--paradigm", paradigm, "--graph", graph, "--ordering", "a c e d b"])
+    assert code == 1
+    triple = TRIPLES[paradigm]
+    assert capsys.readouterr().out == "NO\n" + (f"violating triple: {triple}\n" if triple else "")
+
+
 def test_verify_rejects_partial_orderings(files, capsys):
     graph = files("g.txt", PATH3)
     for ordering in ("a b", "a a c"):  # a vertex missing, a vertex repeated

@@ -10,7 +10,6 @@ from searchorder import (
     DISCONNECTED_ATTACHMENT,
     EMPTY_Q,
     FINAL_VERIFY_FAILED,
-    FourPointProperty,
     Graph,
     Ordering,
     Paradigm,
@@ -202,8 +201,8 @@ def test_planted_profiles_at_n200(k):
 def test_linear_tree_dfs_check_matches_four_point(tree, data):
     seq = data.draw(st.permutations(range(tree.n)))
     sigma = Ordering(tree.universe, tuple(seq))
-    expected, _ = satisfies_property(tree, sigma, FourPointProperty.D)
-    assert frontier_check(tree, sigma.seq, FourPointProperty.D) == expected
+    expected, _ = satisfies_property(tree, sigma, Paradigm.DFS)
+    assert frontier_check(tree, sigma.seq, Paradigm.DFS) == expected
 
 
 def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):

@@ -6,12 +6,9 @@ import pytest
 
 from searchorder import (
     CapError,
-    DegBounded,
-    EdgeBounded,
     Graph,
     Paradigm,
     Profile,
-    TreeSupport,
     all_tree_supports,
     brute_force_graph_support,
     brute_force_tree_support,
@@ -20,6 +17,7 @@ from searchorder import (
     is_s_ordering,
     min_vertex_cover,
 )
+from searchorder.core import DEG, EDGE
 from searchorder.oracles import (
     _growing_trees, _grows_connected, _masks, _prufer_code, _prufer_edges,
 )
@@ -124,41 +122,37 @@ def test_prufer_code_inverts_the_decoder():
 
 
 def test_single_ordering_walks_its_own_path():
-    result = brute_force_graph_support(SINGLE, Paradigm.DFS, EdgeBounded(2))
+    result = brute_force_graph_support(SINGLE, Paradigm.DFS, EDGE, 2)
     assert result.is_yes and result.witness.m == 2
     for sigma in SINGLE:
         assert is_s_ordering(result.witness, sigma, Paradigm.DFS)
 
 
 def test_pair_needs_the_star():
-    result = brute_force_graph_support(PAIR, Paradigm.GS, EdgeBounded(2))
+    result = brute_force_graph_support(PAIR, Paradigm.GS, EDGE, 2)
     assert result.is_yes
     assert sorted(result.witness.edge_names()) == [("a", "b"), ("a", "c")]
     # one edge cannot reach all three vertices, whatever the paradigm
-    assert not brute_force_graph_support(PAIR, Paradigm.GS, EdgeBounded(1)).is_yes
+    assert not brute_force_graph_support(PAIR, Paradigm.GS, EDGE, 1).is_yes
 
 
 def test_degree_bound_variant():
-    assert not brute_force_graph_support(PAIR, Paradigm.BFS, DegBounded(1)).is_yes
-    result = brute_force_graph_support(PAIR, Paradigm.BFS, DegBounded(2))
+    assert not brute_force_graph_support(PAIR, Paradigm.BFS, DEG, 1).is_yes
+    result = brute_force_graph_support(PAIR, Paradigm.BFS, DEG, 2)
     assert result.is_yes and result.witness.max_degree() <= 2
 
 
 def test_clique_bound_is_always_enough():
     rows = list(itertools.permutations("abcde"))[:7]
     profile = Profile.build("abcde", rows)
-    result = brute_force_graph_support(profile, Paradigm.LEXBFS, EdgeBounded(10))
+    result = brute_force_graph_support(profile, Paradigm.LEXBFS, EDGE, 10)
     assert result.is_yes
-
-
-def test_tree_support_kind_dispatches():
-    assert brute_force_graph_support(MIRROR, Paradigm.DFS, TreeSupport()).is_yes
 
 
 def test_edge_bound_monotonicity_seeded():
     for profile in random_profiles(97, 25, sizes=(4, 5), rows=(1, 2)):
         hits = [
-            brute_force_graph_support(profile, Paradigm.DFS, EdgeBounded(k)).is_yes
+            brute_force_graph_support(profile, Paradigm.DFS, EDGE, k).is_yes
             for k in range(profile.universe.n + 2)
         ]
         # once feasible, feasible forever
@@ -168,7 +162,7 @@ def test_edge_bound_monotonicity_seeded():
 def test_witnesses_reverify_seeded():
     for profile in random_profiles(98, 40, sizes=(4, 5), rows=(1, 2)):
         for paradigm in (Paradigm.BFS, Paradigm.MCS):
-            result = brute_force_graph_support(profile, paradigm, EdgeBounded(6))
+            result = brute_force_graph_support(profile, paradigm, EDGE, 6)
             if result.is_yes:
                 assert result.witness.is_connected()
                 for sigma in profile:
@@ -207,9 +201,11 @@ def test_caps_and_bad_bounds():
         brute_force_tree_support(Profile.build(names[:9], [tuple(names[:9])]), Paradigm.DFS)
     with pytest.raises(CapError):
         brute_force_graph_support(
-            Profile.build(names[:6], [tuple(names[:6])]), Paradigm.DFS, EdgeBounded(3)
+            Profile.build(names[:6], [tuple(names[:6])]), Paradigm.DFS, EDGE, 3
         )
     with pytest.raises(ValueError):
-        brute_force_graph_support(SINGLE, Paradigm.DFS, EdgeBounded(-1))
+        brute_force_graph_support(SINGLE, Paradigm.DFS, EDGE, -1)
+    with pytest.raises(ValueError, match="bound must be 'edge' or 'deg'"):
+        brute_force_graph_support(SINGLE, Paradigm.DFS, "tree", 3)
     with pytest.raises(CapError):
         min_vertex_cover(Graph.build([f"v{i}" for i in range(21)], []))

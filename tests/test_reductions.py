@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from searchorder import (
-    PARADIGM_PROPERTY,
     FormatError,
     Graph,
     Ordering,
@@ -49,11 +48,11 @@ PETERSEN_PINS = {
 def test_drone_shapes():
     for (p, q), (n, m) in {(1, 1): (2, 1), (2, 1): (4, 3), (3, 2): (9, 9), (4, 5): (24, 26)}.items():
         drone = build_drone(p, q)
-        assert (drone.graph.n, drone.graph.m) == (n, m)
+        assert (drone.n, drone.m) == (n, m)
 
 
 def test_drone_structure():
-    g = build_drone(3, 2).graph
+    g = build_drone(3, 2)
     clique = [v for v in g.universe.names if g.degree(v) > 1]
     assert len(clique) == 3
     for v in clique:
@@ -136,7 +135,7 @@ def test_perturbed_rows_verify_as_the_four_point_scan_says(paradigm, bound, sour
         i = rng.randrange(len(seq) - 1)
         seq[i], seq[i + 1] = seq[i + 1], seq[i]
         swapped = Ordering(support.universe, tuple(seq))
-        expected, _ = satisfies_property(support, swapped, PARADIGM_PROPERTY[paradigm])
+        expected, _ = satisfies_property(support, swapped, paradigm)
         assert is_s_ordering(support, swapped, paradigm) == expected, (sigma.names, i)
         answers.add(expected)
     assert answers == {True, False}

@@ -7,6 +7,7 @@ requests they cannot meet."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -82,6 +83,37 @@ def test_imports_load_only_what_they_need():
         "import searchorder.cli, searchorder.attachment, searchorder.dfs_tree,"
         " searchorder.reductions, searchorder.oracles")
     assert not loaded & {"dataclasses", "inspect"}
+
+
+_REIMPORT = """
+import collections, gc, importlib, json, sys
+for _ in range(5):
+    for name in [m for m in sys.modules if m.split(".")[0] == "searchorder"]:
+        del sys.modules[name]
+    for name in MODULES:
+        importlib.import_module(name)
+gc.collect()
+alive = collections.Counter(
+    f"{c.__module__}.{c.__qualname__}" for c in gc.get_objects()
+    if isinstance(c, type) and c.__module__.split(".")[0] == "searchorder")
+print(json.dumps(alive))
+"""
+
+
+def test_a_reimport_leaves_no_stale_class():
+    """Nothing global, such as typing's cache, holds a dropped module's
+    classes. Run apart: a re-import here would split class identity
+    between test modules."""
+    modules = [f"searchorder.{p.stem}" for p in MODULES if not p.stem.startswith("__")]
+    assert len(modules) == 8
+    done = subprocess.run(
+        [sys.executable, "-c", f"MODULES = {modules!r}" + _REIMPORT],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    alive = json.loads(done.stdout)
+    assert {"searchorder.core.Graph", "searchorder.traversals.Paradigm"} <= alive.keys()
+    assert {name: n for name, n in alive.items() if n != 1} == {}
 
 
 def _unused_imports(path):

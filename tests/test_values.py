@@ -6,9 +6,6 @@ import pytest
 
 from searchorder import (
     AttachmentDigraph,
-    DegBounded,
-    Drone,
-    EdgeBounded,
     Graph,
     OracleResult,
     Ordering,
@@ -17,15 +14,29 @@ from searchorder import (
     RecognitionOutcome,
     ReductionInstance,
     Tree,
-    TreeSupport,
     Universe,
     build_attachment_digraph,
-    build_drone,
     reduce,
     universe_of,
 )
+from searchorder.core import Value
 
 from conftest import k4
+
+
+class Box(Value):
+    _fields = ("k",)
+
+    def __init__(self, k: int) -> None:
+        self.__dict__["k"] = k
+
+
+class Bag(Box):
+    """Box's field under a subclass, which never equals a Box."""
+
+
+class Empty(Value):
+    """A value with no fields."""
 
 
 def path3(cls=Graph):
@@ -49,11 +60,8 @@ VALUES = [
         lambda: build_attachment_digraph(Profile.build("abc", ["abc", "bac"])),
         ("universe", "out_masks"),
     ),
-    (EdgeBounded, lambda: EdgeBounded(3), ("k",)),
-    (DegBounded, lambda: DegBounded(3), ("k",)),
-    (TreeSupport, TreeSupport, ()),
+    (Empty, Empty, ()),
     (OracleResult, lambda: OracleResult(True, path3()), ("is_yes", "witness")),
-    (Drone, lambda: build_drone(2, 1), ("p", "q", "graph")),
     (
         ReductionInstance,
         lambda: reduce(Paradigm.DFS, "edge", k4(), 3),
@@ -94,8 +102,8 @@ def test_repr_names_the_class_and_its_fields(cls, make, fields):
 
 def test_repr_spells_out_small_values():
     assert repr(universe_of("ab")) == "Universe(names=('a', 'b'))"
-    assert repr(EdgeBounded(3)) == "EdgeBounded(k=3)"
-    assert repr(TreeSupport()) == "TreeSupport()"
+    assert repr(Box(3)) == "Box(k=3)"
+    assert repr(Empty()) == "Empty()"
     assert repr(OracleResult(False)) == "OracleResult(is_yes=False, witness=None)"
 
 
@@ -103,9 +111,9 @@ def test_values_of_different_classes_never_compare_equal():
     graph, tree = path3(), path3(Tree)
     assert (graph.universe, graph.edges) == (tree.universe, tree.edges)
     assert graph != tree and tree != graph
-    assert EdgeBounded(3) != DegBounded(3)
-    assert EdgeBounded(3) != EdgeBounded(4)
-    assert TreeSupport() == TreeSupport()
+    assert Box(3) != Bag(3) and Bag(3) != Box(3)
+    assert Box(3) != Box(4)
+    assert Empty() == Empty()
 
 
 def test_constructor_defaults():

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from searchorder import (
-    FourPointProperty,
     Graph,
     Ordering,
-    PARADIGM_PROPERTY,
     Paradigm,
     certify_by_simulation,
     enumerate_orderings,
@@ -25,22 +23,22 @@ from conftest import all_graphs, graphs
 
 PATH3 = Graph.build("abc", [("a", "b"), ("b", "c")])
 PAW = Graph.build("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")])
+FOUR_POINT = [p for p in Paradigm if p is not Paradigm.MCS]
+FRONTIER = (Paradigm.GS, Paradigm.BFS, Paradigm.DFS)
 
 
 def test_property_mapping_is_total_except_mcs():
-    assert PARADIGM_PROPERTY[Paradigm.GS] is FourPointProperty.S
-    assert PARADIGM_PROPERTY[Paradigm.BFS] is FourPointProperty.B
-    assert PARADIGM_PROPERTY[Paradigm.DFS] is FourPointProperty.D
-    assert PARADIGM_PROPERTY[Paradigm.LEXBFS] is FourPointProperty.LB
-    assert PARADIGM_PROPERTY[Paradigm.LEXDFS] is FourPointProperty.LD
-    assert PARADIGM_PROPERTY[Paradigm.MNS] is FourPointProperty.M
-    assert Paradigm.MCS not in PARADIGM_PROPERTY
+    sigma = Ordering.from_names(PATH3.universe, ("b", "a", "c"))
+    for paradigm in FOUR_POINT:
+        assert satisfies_property(PATH3, sigma, paradigm) == (True, None)
+    with pytest.raises(ValueError, match="MCS has no four-point characterization"):
+        satisfies_property(PATH3, sigma, Paradigm.MCS)
 
 
 def test_violating_triple_on_the_path():
     sigma = Ordering.from_names(PATH3.universe, ("a", "c", "b"))
-    for prop in FourPointProperty:
-        ok, triple = satisfies_property(PATH3, sigma, prop)
+    for paradigm in FOUR_POINT:
+        ok, triple = satisfies_property(PATH3, sigma, paradigm)
         assert not ok
         assert triple == ("a", "c", "b")
 
@@ -50,8 +48,8 @@ def test_first_violating_triple_is_position_lexicographic():
     # the reported one must be the earliest by position
     g = Graph.build("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     sigma = Ordering.from_names(g.universe, ("a", "b", "c", "d"))
-    for prop in (FourPointProperty.S, FourPointProperty.B, FourPointProperty.D):
-        ok, triple = satisfies_property(g, sigma, prop)
+    for paradigm in FRONTIER:
+        ok, triple = satisfies_property(g, sigma, paradigm)
         assert (ok, triple) == (False, ("a", "b", "c"))
 
 
@@ -67,9 +65,17 @@ def test_frontier_check_equals_four_point_beyond_connected_graphs():
     for g in beyond_connected():
         for perm in itertools.permutations(range(g.n)):
             sigma = Ordering(g.universe, perm)
-            for prop in (FourPointProperty.S, FourPointProperty.B, FourPointProperty.D):
-                expected, _ = satisfies_property(g, sigma, prop)
-                assert frontier_check(g, perm, prop) == expected, (g.edge_names(), perm, prop)
+            for paradigm in FRONTIER:
+                expected, _ = satisfies_property(g, sigma, paradigm)
+                assert frontier_check(g, perm, paradigm) == expected, (
+                    g.edge_names(), perm, paradigm)
+
+
+@pytest.mark.parametrize(
+    "paradigm", [p for p in Paradigm if p not in FRONTIER], ids=str)
+def test_frontier_check_rejects_paradigms_it_cannot_decide(paradigm):
+    with pytest.raises(ValueError):
+        frontier_check(PATH3, (0, 1, 2), paradigm)
 
 
 def test_simulation_equals_four_point_beyond_connected_graphs():
@@ -77,20 +83,20 @@ def test_simulation_equals_four_point_beyond_connected_graphs():
         for perm in itertools.permutations(range(g.n)):
             sigma = Ordering(g.universe, perm)
             for paradigm in (Paradigm.LEXBFS, Paradigm.LEXDFS, Paradigm.MNS):
-                expected, _ = satisfies_property(g, sigma, PARADIGM_PROPERTY[paradigm])
+                expected, _ = satisfies_property(g, sigma, paradigm)
                 assert certify_by_simulation(g, sigma, paradigm) == expected, (
                     g.edge_names(), perm, paradigm)
 
 
 def test_accepting_ordering_reports_no_triple():
     sigma = Ordering.from_names(PATH3.universe, ("b", "a", "c"))
-    ok, triple = satisfies_property(PATH3, sigma, FourPointProperty.B)
+    ok, triple = satisfies_property(PATH3, sigma, Paradigm.BFS)
     assert ok and triple is None
 
 
 def test_partial_orderings_are_rejected_by_value():
     with pytest.raises(ValueError):
-        satisfies_property(PATH3, Ordering(PATH3.universe, (0, 1)), FourPointProperty.S)
+        satisfies_property(PATH3, Ordering(PATH3.universe, (0, 1)), Paradigm.GS)
 
 
 def test_exhaustive_agreement_on_the_paw():
@@ -141,6 +147,6 @@ def test_accepting_scan_is_fast_at_n_100():
     g = Graph.build(names, edges)
     sigma = generate_ordering(g, Paradigm.LEXBFS)
     t0 = time.perf_counter()
-    ok, _ = satisfies_property(g, sigma, FourPointProperty.LB)
+    ok, _ = satisfies_property(g, sigma, Paradigm.LEXBFS)
     assert ok
     assert time.perf_counter() - t0 < 1.0
