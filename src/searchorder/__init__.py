@@ -16,7 +16,6 @@ _EXPORTS = {
     "core": (
         "CapError", "FormatError", "Graph", "NotATreeError", "Ordering", "Profile", "Tree",
         "Universe", "emit_graph", "emit_profile", "parse_bounded_profile", "parse_graph",
-        "universe_of",
     ),
     "traversals": (
         "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",

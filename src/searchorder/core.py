@@ -76,7 +76,8 @@ class Universe(Value):
 
     _fields = ("names",)
 
-    def __init__(self, names: tuple[str, ...]) -> None:
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
         for name in names:
             _check_name(name)
         if len(set(names)) != len(names):
@@ -111,10 +112,6 @@ class Universe(Value):
 
     def __len__(self) -> int:
         return len(self.names)
-
-
-def universe_of(names: Iterable[str]) -> Universe:
-    return Universe(tuple(names))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -153,7 +150,7 @@ class Graph(Value):
 
     @classmethod
     def build(cls, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> Graph:
-        uni = universe_of(names)
+        uni = Universe(names)
         return cls(uni, frozenset(_index_pairs(uni, edges)))
 
     @classmethod
@@ -215,11 +212,6 @@ class Tree(Graph):
         if self.m != max(self.n - 1, 0) or not self.is_connected():
             raise NotATreeError("graph is not a tree")
 
-    @classmethod
-    def build(cls, names: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> Tree:
-        g = Graph.build(names, edges)
-        return cls(g.universe, g.edges)
-
 
 class Ordering(Value):
     """A permutation of a universe's vertices, leftmost visited first."""
@@ -263,7 +255,7 @@ class Profile(Value):
 
     @classmethod
     def build(cls, names: Iterable[str], rows: Iterable[Sequence[str]]) -> Profile:
-        uni = universe_of(names)
+        uni = Universe(names)
         return cls(uni, tuple(Ordering.from_names(uni, row) for row in rows))
 
     def __len__(self) -> int:
@@ -299,7 +291,7 @@ def _parse_header(lines: list[str]) -> tuple[Universe, int | None, list[str]]:
     names = lines[0][len("vertices:"):].split()
     if not names:
         raise FormatError("empty vertex list")
-    uni = universe_of(names)
+    uni = Universe(names)
     rest = lines[1:]
     k: int | None = None
     if rest and rest[0].startswith("k:"):
@@ -321,7 +313,7 @@ def parse_graph(text: str) -> Graph:
             raise FormatError(f"edge line needs two names: {line!r}")
         edges.append((toks[0], toks[1]))
     try:
-        return Graph.build(uni.names, edges)
+        return Graph(uni, frozenset(_index_pairs(uni, edges)))
     except (KeyError, ValueError) as exc:  # unknown endpoint, self-loop
         raise FormatError(exc.args[0]) from None
 

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Value, universe_of
+from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value
 from .traversals import Paradigm
 from .verifiers import certify_by_simulation
 
@@ -78,15 +78,12 @@ def enumerate_tree_edge_sets(n: int) -> Iterator[list[tuple[int, int]]]:
     if n == 1:
         yield []
         return
-    if n == 2:
-        yield [(0, 1)]
-        return
     for seq in product(range(n), repeat=n - 2):
         yield _prufer_edges(seq, n)
 
 
-def enumerate_labeled_trees(names: tuple[str, ...] | list[str]) -> Iterator[Tree]:
-    uni = universe_of(names)
+def enumerate_labeled_trees(names: Iterable[str]) -> Iterator[Tree]:
+    uni = Universe(names)
     for edges in enumerate_tree_edge_sets(uni.n):
         yield Tree(uni, frozenset(edges))
 
@@ -220,7 +217,7 @@ def brute_force_graph_support(
     if n > limit:
         raise CapError(f"graph search needs n <= {limit}, got n = {n}")
     if k < 0:
-        raise ValueError("bound must be non-negative")
+        raise ValueError("k must be non-negative")
     seqs = [o.seq for o in profile.orderings]
     all_edges = list(combinations(range(n), 2))
     max_size = len(all_edges) if bound == DEG else min(k, len(all_edges))

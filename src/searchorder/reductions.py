@@ -140,7 +140,7 @@ def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
     for v in source.universe.names:
         if source.degree(v) != 3:
             raise ValueError(f"source graph must be 3-regular; {v!r} has degree {source.degree(v)}")
-    n, m = source.n, source.m
+    n = source.n
     if paradigm is Paradigm.LEXDFS:
         if n < 10:
             raise ValueError("the construction needs n >= 10 source vertices")
@@ -149,8 +149,6 @@ def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
         return
     if n < 4:
         raise ValueError("the construction needs n >= 4 source vertices")
-    if m < 6:
-        raise ValueError("the construction needs m >= 6 source edges")
     if kappa < 2:
         raise ValueError("the construction needs kappa >= 2")
 

@@ -87,12 +87,8 @@ def satisfies_property(
             else:  # strictly between a and b
                 scope = ((1 << pb) - 1) & ~((1 << (pa + 1)) - 1)
             witnesses = adj[pb] & scope
-            if not needs_c:
-                if witnesses:
-                    continue
-                return False, triple(pa, pb, next(iter_bits(later_cs)))
-            if not witnesses:
-                return False, triple(pa, pb, next(iter_bits(later_cs)))
+            if witnesses and not needs_c:
+                continue
             for pc in iter_bits(later_cs):
                 if not witnesses & ~adj[pc]:
                     return False, triple(pa, pb, pc)

@@ -15,13 +15,13 @@ from searchorder import (
     Paradigm,
     Profile,
     UNREALIZABLE_ATTACHMENT,
+    Universe,
     all_tree_supports,
     build_attachment_digraph,
     enumerate_gs_tree_supports,
     forced_subtree,
     is_s_ordering,
     recognize_gs_tree,
-    universe_of,
 )
 
 from conftest import planted_profiles, profiles, random_profiles
@@ -67,7 +67,7 @@ def blocker_set(sigma, s, x):
 
 
 def test_blocker_set_cases():
-    sigma = Ordering.from_names(universe_of("abcd"), ("a", "b", "c", "d"))
+    sigma = Ordering.from_names(Universe("abcd"), ("a", "b", "c", "d"))
     assert blocker_set(sigma, {"b", "c", "d"}, "c") == {"b"}
     assert blocker_set(sigma, {"b", "c", "d"}, "d") == {"b", "c"}
     # the top-ranked member is blocked by the runner-up alone
@@ -75,7 +75,7 @@ def test_blocker_set_cases():
 
 
 def test_blocker_set_errors():
-    sigma = Ordering.from_names(universe_of("abcd"), ("a", "b", "c", "d"))
+    sigma = Ordering.from_names(Universe("abcd"), ("a", "b", "c", "d"))
     with pytest.raises(ValueError):
         blocker_set(sigma, {"b", "c"}, "a")
     with pytest.raises(ValueError):

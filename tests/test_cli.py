@@ -299,7 +299,7 @@ def test_module_run_as_a_program_matches_run(files, capsys, monkeypatch, argv):
 def test_negative_bound_is_an_input_error(files, capsys):
     assert run(["solve", "--problem", "deg", "--paradigm", "gs",
                 "--profile", files("p.txt", PAIR_PROFILE), "--k", "-1"]) == 2
-    assert capsys.readouterr().err == "error: bound must be non-negative\n"
+    assert capsys.readouterr().err == "error: k must be non-negative\n"
 
 
 def test_unknown_vertex_message_is_unquoted(files, capsys):
@@ -317,6 +317,7 @@ def test_unknown_vertex_message_is_unquoted(files, capsys):
      "unknown vertex 'z'"),
     (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b\na a\n",
      "self-loop at 'a'"),
+    (["generate", "--paradigm", "bfs", "--graph"], "vertices:\n", "empty vertex list"),
 ])
 def test_format_errors_name_the_file(files, capsys, command, text, message):
     path = files("bad.txt", text)

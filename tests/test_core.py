@@ -13,11 +13,11 @@ from searchorder import (
     Ordering,
     Profile,
     Tree,
+    Universe,
     emit_graph,
     emit_profile,
     parse_bounded_profile,
     parse_graph,
-    universe_of,
 )
 
 from conftest import graphs, profiles
@@ -35,15 +35,21 @@ def c4():
 
 
 def test_universe_preserves_declaration_order():
-    uni = universe_of("dbca")
+    uni = Universe("dbca")
     assert uni.n == 4
     assert [uni.name(i) for i in range(4)] == list("dbca")
     assert uni.index("c") == 2
 
 
+def test_universe_takes_any_iterable_of_names():
+    uni = Universe(("a", "b", "c"))
+    assert Universe("abc") == Universe(["a", "b", "c"]) == Universe(x for x in "abc") == uni
+    assert Universe("abc").names == ("a", "b", "c")
+
+
 def test_universe_rejects_duplicate_names():
     with pytest.raises(FormatError):
-        universe_of(["a", "b", "a"])
+        Universe(["a", "b", "a"])
 
 
 # ---------------------------------------------------------------- graph
@@ -71,6 +77,10 @@ def test_graph_rejects_self_loops():
 def test_graph_rejects_unknown_endpoints():
     with pytest.raises(KeyError):
         Graph.build("ab", [("a", "c")])
+    uni = Universe("abc")
+    for pair in ((1, 0), (0, 3)):
+        with pytest.raises(ValueError, match=rf"bad edge pair \({pair[0]}, {pair[1]}\)"):
+            Graph(uni, frozenset({pair}))
 
 
 def test_with_edges():
@@ -91,7 +101,7 @@ def test_is_connected():
     # vertices) against a plain search from vertex 0
     checked = 0
     for n in range(7):
-        uni = universe_of("abcdef"[:n])
+        uni = Universe("abcdef"[:n])
         for m in range(n + 2):
             for edges in combinations(combinations(range(n), 2), m):
                 seen = {0} if n else set()
@@ -122,17 +132,30 @@ def test_tree_rejects_cycles_and_forests():
         Tree.build("abcd", [("a", "b"), ("b", "c"), ("a", "c")])
 
 
+def test_tree_build_is_graph_build_with_the_tree_check():
+    tree = Tree.build("abc", [("a", "b"), ("b", "c")])
+    assert type(tree) is Tree and tree.edges == path3().edges
+    with pytest.raises(NotATreeError):
+        Tree.build("abc", [("a", "b")])
+    with pytest.raises(KeyError):
+        Tree.build("ab", [("a", "c")])
+    with pytest.raises(ValueError, match="self-loop at 'a'"):
+        Tree.build("ab", [("a", "a")])
+    with pytest.raises(FormatError):
+        Tree.build(["a", "a"])
+
+
 # ---------------------------------------------------------------- ordering
 
 
 def test_ordering_lists_names_in_visit_order():
-    o = Ordering.from_names(universe_of("abc"), ("b", "a", "c"))
+    o = Ordering.from_names(Universe("abc"), ("b", "a", "c"))
     assert tuple(o) == o.names == ("b", "a", "c") and o.seq == (1, 0, 2)
     assert len(o) == o.universe.n == 3
 
 
 def test_ordering_rejects_repeats_and_strangers():
-    uni = universe_of("abc")
+    uni = Universe("abc")
     with pytest.raises(ValueError):
         Ordering.from_names(uni, ("a", "a", "b"))
     with pytest.raises(ValueError, match="ordering must list every vertex exactly once"):
@@ -147,6 +170,12 @@ def test_ordering_rejects_repeats_and_strangers():
 def test_profile_rows_must_be_permutations():
     with pytest.raises(ValueError):
         Profile.build("abc", [("a", "b", "c"), ("a", "b")])
+    uni = Universe("abc")
+    with pytest.raises(ValueError, match="a profile needs at least one ordering"):
+        Profile(uni, ())
+    stranger = Ordering.from_names(Universe("abd"), ("a", "b", "d"))
+    with pytest.raises(ValueError, match="ordering universe mismatch"):
+        Profile(uni, (stranger,))
 
 
 def test_profile_keeps_duplicate_rows():
@@ -186,6 +215,7 @@ def test_parse_bounded_profile_without_bound():
         "a b\n",  # missing header
         "vertices: a b\na c\n",  # unknown vertex
         "vertices: a b\na b c\n",  # malformed edge line
+        "vertices:\n",  # no vertices
     ],
 )
 def test_parse_graph_rejects_malformed_input(text):
@@ -198,6 +228,8 @@ def test_parse_profile_rejects_short_rows():
         parse_bounded_profile("vertices: a b c\na b\n")
     with pytest.raises(FormatError):
         parse_bounded_profile("vertices: a b\nk: x\na b\n")
+    with pytest.raises(FormatError, match="profile has no orderings"):
+        parse_bounded_profile("vertices: a b\n")
 
 
 @given(graphs(connected=False))

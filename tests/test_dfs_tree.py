@@ -443,6 +443,17 @@ def test_purify_searches_only_the_group_that_can_narrow(monkeypatch):
     assert len(searched) == 4 and all(a is narrowing for a in searched)
 
 
+def test_purify_revisits_every_group_whose_member_narrowed_in_the_pass_before():
+    # Pass 1 skips [5, 8] (equal sets), then [4, 5] narrows 5 to {2, 3} and
+    # [6, 7] narrows 7 to {3}. Pass 2 must revisit [5, 8], though the last
+    # group to narrow was [6, 7]: only then does 8 lose 1. Pass 3 ends it.
+    q = {4: 0b1100, 5: 0b1110, 6: 0b1000, 7: 0b1100, 8: 0b1110}
+    groups = [(PATH_PREFIXES, [5, 8]), (PATH_PREFIXES, [4, 5]), (PATH_PREFIXES, [6, 7])]
+    cleaned = purify(q, groups)
+    assert cleaned == {4: 0b1100, 5: 0b1100, 6: 0b1000, 7: 0b1000, 8: 0b1100}
+    assert cleaned == reference_purify(q, groups, PATH_TSTAR)
+
+
 def test_q_paths_hold_their_sets_and_meet_each_forced_vertex_at_its_dfs_parent(monkeypatch):
     calls = record_stages(monkeypatch, ("q_path", "candidate_sets"))
     for profile in stage_corpus():

@@ -20,6 +20,7 @@ from searchorder import (
 from searchorder.core import DEG, EDGE
 from searchorder.oracles import (
     _growing_trees, _grows_connected, _masks, _prufer_code, _prufer_edges,
+    enumerate_tree_edge_sets,
 )
 
 from conftest import k4, planted_tree_profiles, random_profiles
@@ -37,6 +38,7 @@ def test_cayley_counts():
         assert len({frozenset(t.edge_names()) for t in trees}) == want
         for t in trees:
             assert t.n == n and t.m == n - 1 and t.is_connected()
+    assert list(enumerate_tree_edge_sets(2)) == [[(0, 1)]]  # the empty Prüfer code
 
 
 def test_mirror_profile_has_the_path_as_tree_support():
@@ -205,7 +207,13 @@ def test_caps_and_bad_bounds():
         )
     with pytest.raises(ValueError):
         brute_force_graph_support(SINGLE, Paradigm.DFS, EDGE, -1)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        brute_force_graph_support(SINGLE, Paradigm.DFS, DEG, -1)
     with pytest.raises(ValueError, match="bound must be 'edge' or 'deg'"):
         brute_force_graph_support(SINGLE, Paradigm.DFS, "tree", 3)
     with pytest.raises(CapError):
         min_vertex_cover(Graph.build([f"v{i}" for i in range(21)], []))
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        next(enumerate_labeled_trees(""))
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        brute_force_tree_support(Profile.build([], [[]]), Paradigm.DFS)

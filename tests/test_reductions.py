@@ -174,6 +174,11 @@ def test_construction_preconditions():
         reduce(Paradigm.DFS, "edges", k4(), 3)
     with pytest.raises(ValueError):
         reduce(Paradigm.LEXDFS, "edge", k4(), 3)  # needs n >= 10
+    for kappa in (2, 10):
+        with pytest.raises(ValueError, match="needs 3 <= kappa <= n - 1"):
+            reduce(Paradigm.LEXDFS, "edge", petersen(), kappa)
+    with pytest.raises(ValueError, match="needs n >= 4 source vertices"):
+        reduce(Paradigm.DFS, "edge", Graph.build([]), 3)  # vacuously 3-regular
     path = Graph.build("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(ValueError):
         reduce(Paradigm.LEXDFS, "edge", path, 2)  # needs 3-regular input
@@ -246,6 +251,16 @@ DFS_EDGE_K4 = reduce(Paradigm.DFS, "edge", k4(), 3).emit()
 def test_tampered_metadata_is_a_format_error_naming_the_field(key, value):
     with pytest.raises(FormatError, match=key):
         ReductionInstance.parse(_with_meta(DFS_EDGE_K4, key, value))
+
+
+def test_a_row_off_the_construction_is_a_format_error():
+    lines = DFS_EDGE_K4.splitlines()
+    row = lines[-1].split()
+    row[0], row[1] = row[1], row[0]
+    tampered = "\n".join(lines[:-1] + [" ".join(row)]) + "\n"
+    assert parse_bounded_profile(tampered)[0] != parse_bounded_profile(DFS_EDGE_K4)[0]
+    with pytest.raises(FormatError, match="does not match its declared construction"):
+        ReductionInstance.parse(tampered)
 
 
 METADATA_KEYS = ("family", "paradigm", "bound", "kappa", "attach",

@@ -1,8 +1,8 @@
 """Hygiene checks that stand in for a linter: the public API resolves
 and matches the README's list, importing the package or its CLI loads
 only what it must, no package module imports a name it never uses, no
-private name is left without a user, and the shared test corpora refuse
-requests they cannot meet."""
+private name is left without a user, every module parses as Python 3.10,
+and the shared test corpora refuse requests they cannot meet."""
 
 import ast
 import importlib
@@ -137,6 +137,15 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # README and pyproject.toml promise Python 3.10+; the parser's
+    # feature_version rejects later syntax such as except*
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in MODULES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def _package_imports(module):

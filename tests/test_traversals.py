@@ -14,13 +14,13 @@ from searchorder import (
     LabelState,
     Paradigm,
     Tree,
+    Universe,
     complete_prefix,
     enumerate_labeled_trees,
     enumerate_orderings,
     generate_ordering,
     is_partial_ordering,
     is_s_ordering,
-    universe_of,
 )
 
 from searchorder.oracles import enumerate_tree_edge_sets
@@ -124,6 +124,13 @@ def test_repeated_prefix_vertex_is_named(prefix):
     for check in (complete_prefix, is_partial_ordering):
         with pytest.raises(ValueError, match="duplicate vertex 'a' in prefix"):
             check(PATH3, prefix, Paradigm.BFS)
+
+
+def test_advance_rejects_a_visited_vertex():
+    state = LabelState(PATH3._adj, Paradigm.BFS)
+    state.advance(0)
+    with pytest.raises(ValueError, match="vertex index 0 already visited"):
+        state.advance(0)
 
 
 def test_partial_ordering_pins():
@@ -252,7 +259,7 @@ def test_searches_collapse_to_three_on_every_tree_up_to_six_vertices():
 
 
 def test_searches_collapse_to_three_on_sampled_seven_vertex_trees():
-    universe = universe_of(NAMES[:7])
+    universe = Universe(NAMES[:7])
     for edges in random.Random(7).sample(list(enumerate_tree_edge_sets(7)), 200):
         _assert_searches_collapse(Tree(universe, frozenset(edges)))
 

@@ -17,7 +17,6 @@ from searchorder import (
     Universe,
     build_attachment_digraph,
     reduce,
-    universe_of,
 )
 from searchorder.core import Value
 
@@ -45,10 +44,10 @@ def path3(cls=Graph):
 
 # (class, a factory that builds a fresh value on each call, field names)
 VALUES = [
-    (Universe, lambda: universe_of("abc"), ("names",)),
+    (Universe, lambda: Universe("abc"), ("names",)),
     (Graph, path3, ("universe", "edges")),
     (Tree, lambda: path3(Tree), ("universe", "edges")),
-    (Ordering, lambda: Ordering.from_names(universe_of("abc"), "bac"), ("universe", "seq")),
+    (Ordering, lambda: Ordering.from_names(Universe("abc"), "bac"), ("universe", "seq")),
     (Profile, lambda: Profile.build("abc", ["abc", "bac"]), ("universe", "orderings")),
     (
         RecognitionOutcome,
@@ -101,7 +100,7 @@ def test_repr_names_the_class_and_its_fields(cls, make, fields):
 
 
 def test_repr_spells_out_small_values():
-    assert repr(universe_of("ab")) == "Universe(names=('a', 'b'))"
+    assert repr(Universe("ab")) == "Universe(names=('a', 'b'))"
     assert repr(Box(3)) == "Box(k=3)"
     assert repr(Empty()) == "Empty()"
     assert repr(OracleResult(False)) == "OracleResult(is_yes=False, witness=None)"
@@ -126,12 +125,12 @@ def test_constructor_defaults():
 
 
 def test_cached_attributes_are_computed_once_and_ignored_by_equality():
-    uni = universe_of("abc")
+    uni = Universe("abc")
     assert uni._index_map is uni._index_map
     assert uni._index_map == {"a": 0, "b": 1, "c": 2}
     graph = path3()
     assert graph._adj is graph._adj
     ordering = Ordering.from_names(uni, "bac")
     assert ordering.names is ordering.names == ("b", "a", "c")
-    assert (uni, graph, ordering) == (universe_of("abc"), path3(), Ordering(uni, (1, 0, 2)))
-    assert hash(ordering) == hash(Ordering(universe_of("abc"), (1, 0, 2)))
+    assert (uni, graph, ordering) == (Universe("abc"), path3(), Ordering(uni, (1, 0, 2)))
+    assert hash(ordering) == hash(Ordering(Universe("abc"), (1, 0, 2)))

@@ -99,6 +99,14 @@ def test_partial_orderings_are_rejected_by_value():
         satisfies_property(PATH3, Ordering(PATH3.universe, (0, 1)), Paradigm.GS)
 
 
+def test_an_ordering_over_another_universe_is_rejected():
+    stranger = Ordering.from_names(Graph.build("abd").universe, ("a", "b", "d"))
+    for check in (satisfies_property, is_s_ordering, certify_by_simulation):
+        for paradigm in (Paradigm.GS, Paradigm.LEXBFS):
+            with pytest.raises(ValueError, match="ordering must permute the graph's vertex set"):
+                check(PATH3, stranger, paradigm)
+
+
 def test_exhaustive_agreement_on_the_paw():
     # miniature of the acceptance sweep: every permutation, every paradigm
     for paradigm in Paradigm:
