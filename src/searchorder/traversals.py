@@ -23,11 +23,20 @@ the flagged vertices win, and with none flagged all tie) and sets by
 inclusion. The searches are nondeterministic; `enumerate_orderings`
 branches over every eligible vertex, while `generate_ordering` breaks
 ties by lowest universe index.
+
+In code every label is an int, 0 before any update, and a visited
+vertex holds -1, below them all. The flag is 1, and a sequence or set
+is the bit set of its entries: bit n - i for LexBFS, bit i for LexDFS
+and MNS. A sequence's entries are distinct and decreasing, so integer
+order is exactly its lexicographic order, and set inclusion is bitmask
+inclusion; a candidacy test is then one `max`, or for MNS one pass of
+`&` over the larger labels.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import add, or_
 from typing import Sequence
 
 from .core import CapError, Graph, Ordering
@@ -48,31 +57,32 @@ class Paradigm(Enum):
         return self.value
 
 
-# paradigm -> (initial label, update(label, i, n)): the table above as code
+# paradigm -> (op, x(i, n)): visiting step i's vertex sets each unvisited
+# neighbor's label to op(label, x), the table above in the int encoding;
+# or and max assign for GS and DFS, as x is at least every unvisited label
 _RULES = {
-    Paradigm.GS: (False, lambda label, i, n: True),
-    Paradigm.BFS: (0, lambda label, i, n: max(label, n - i)),
-    Paradigm.DFS: (0, lambda label, i, n: i),
-    Paradigm.LEXBFS: ((), lambda label, i, n: label + (n - i,)),
-    Paradigm.LEXDFS: ((), lambda label, i, n: (i,) + label),
-    Paradigm.MCS: (0, lambda label, i, n: label + 1),
-    Paradigm.MNS: (frozenset(), lambda label, i, n: label | {i}),
+    Paradigm.GS: (or_, lambda i, n: 1),
+    Paradigm.BFS: (max, lambda i, n: n - i),
+    Paradigm.DFS: (max, lambda i, n: i),
+    Paradigm.LEXBFS: (or_, lambda i, n: 1 << n - i),
+    Paradigm.LEXDFS: (or_, lambda i, n: 1 << i),
+    Paradigm.MCS: (add, lambda i, n: 1),
+    Paradigm.MNS: (or_, lambda i, n: 1 << i),
 }
 
 
 class LabelState:
-    """Mutable per-run label store. A visited vertex holds the initial
-    label, which no label is below, so it never outranks an unvisited one."""
+    """Mutable per-run label store: `labels[v]` is v's label in the int
+    encoding of the module docstring, or -1 once v is visited."""
 
-    __slots__ = ("paradigm", "rule", "n", "adj", "labels", "visited", "step")
+    __slots__ = ("paradigm", "rule", "n", "adj", "labels", "step")
 
     def __init__(self, adj: Sequence[frozenset[int]], paradigm: Paradigm):
         self.paradigm = paradigm
         self.rule = _RULES[paradigm]
         self.n = len(adj)
         self.adj = adj
-        self.labels: list = [self.rule[0]] * self.n
-        self.visited: set[int] = set()
+        self.labels = [0] * self.n
         self.step = 0
 
     def copy(self) -> "LabelState":
@@ -82,39 +92,35 @@ class LabelState:
         dup.n = self.n
         dup.adj = self.adj
         dup.labels = list(self.labels)
-        dup.visited = set(self.visited)
         dup.step = self.step
         return dup
 
     def advance(self, v: int) -> None:
         """Visit v (must be unvisited) and update unvisited neighbor labels."""
-        if v in self.visited:
+        labels = self.labels
+        if labels[v] < 0:
             raise ValueError(f"vertex index {v} already visited")
-        self.visited.add(v)
         self.step += 1
-        i, n, visited, labels = self.step, self.n, self.visited, self.labels
-        initial, update = self.rule
-        labels[v] = initial
+        op, x_of = self.rule
+        x = x_of(self.step, self.n)
+        labels[v] = -1
         for u in self.adj[v]:
-            if u not in visited:
-                labels[u] = update(labels[u], i, n)
+            if labels[u] >= 0:
+                labels[u] = op(labels[u], x)
 
     def candidates(self) -> list[int]:
         """All vertices a valid run could visit next, ascending by index."""
-        unvisited = [u for u in range(self.n) if u not in self.visited]
-        if not unvisited:
-            return []
-        labels = self.labels
         if self.paradigm is Paradigm.MNS:  # inclusion is only a partial order
-            return [u for u in unvisited if self.is_candidate(u)]
-        best = max(labels)
-        return [u for u in unvisited if labels[u] == best]
+            return [u for u in range(self.n) if self.is_candidate(u)]
+        best = max(self.labels, default=-1)
+        return [u for u, label in enumerate(self.labels) if label == best >= 0]
 
     def is_candidate(self, v: int) -> bool:
         """Whether v is unvisited and no unvisited label is strictly greater."""
-        if v in self.visited:
-            return False
-        return not any(map(self.labels[v].__lt__, self.labels))
+        label, labels = self.labels[v], self.labels
+        if self.paradigm is Paradigm.MNS:
+            return label >= 0 and label not in map(label.__and__, filter(label.__lt__, labels))
+        return 0 <= label >= max(labels)
 
 
 def _replay(graph: Graph, names: Sequence[str], paradigm: Paradigm) -> LabelState:
@@ -123,7 +129,7 @@ def _replay(graph: Graph, names: Sequence[str], paradigm: Paradigm) -> LabelStat
     state = LabelState(graph._adj, paradigm)
     for name in names:
         i = graph.universe.index(name)
-        if i in state.visited:
+        if state.labels[i] < 0:
             raise ValueError(f"duplicate vertex {name!r} in prefix")
         state.advance(i)
     return state
@@ -182,9 +188,12 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
     `is_partial_ordering` decides without completing it.
     """
     state = _replay(graph, prefix, paradigm)
-    seq = list(graph.universe.indices(prefix))
+    seq, labels = list(graph.universe.indices(prefix)), state.labels
     while len(seq) < graph.n:
-        v = state.candidates()[0]
+        if paradigm is Paradigm.MNS:  # the largest int is maximal, maybe not first
+            v = state.candidates()[0]
+        else:
+            v = labels.index(max(labels))
         state.advance(v)
         seq.append(v)
     return Ordering(graph.universe, tuple(seq))

@@ -153,7 +153,7 @@ def is_partial_ordering(graph: Graph, prefix: Sequence[str], paradigm: Paradigm)
     state, partial = LabelState(graph._adj, paradigm), True
     for name in prefix:
         v = graph.universe.index(name)
-        if v in state.visited:
+        if state.labels[v] < 0:
             raise ValueError(f"duplicate vertex {name!r} in prefix")
         partial = partial and state.is_candidate(v)
         state.advance(v)

@@ -172,6 +172,12 @@ def test_oracles_stay_independent_of_the_recognizers():
     assert not reached & {"attachment", "dfs_tree", "reductions", "__init__"}
 
 
+def test_the_label_engine_imports_only_core():
+    # traversals stays at the bottom of the module graph, under every
+    # module that replays labels
+    assert _package_imports("traversals") == {"core"}
+
+
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 

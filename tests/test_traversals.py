@@ -24,6 +24,7 @@ from searchorder import (
 )
 
 from searchorder.oracles import enumerate_tree_edge_sets
+from searchorder.traversals import _RULES
 
 from conftest import NAMES, all_connected_graphs, graphs, k4
 
@@ -184,11 +185,23 @@ def _reference_candidates(g, prefix, paradigm):
 
 
 def test_candidates_match_labels_recomputed_from_scratch():
-    # every prefix of random permutations, valid runs or not
+    # every prefix of random permutations, valid runs or not, on connected
+    # graphs at n = 5 and n = 7; the greedy completion of each prefix and
+    # the generated ordering take the lowest-index candidate at every step
     rng = random.Random(4242)
     corpus = rng.sample(list(all_connected_graphs(5)), 150)
+    sample, pairs = random.Random(77), list(itertools.combinations(NAMES[:7], 2))
+    while len(corpus) < 190:
+        g = Graph.build(NAMES[:7], [e for e in pairs if sample.random() < 0.4])
+        if g.is_connected():
+            corpus.append(g)
     for g in corpus:
-        adj = g._adj
+        adj, names = g._adj, g.universe.names
+        for paradigm in Paradigm:
+            seq = generate_ordering(g, paradigm).seq
+            for k in range(g.n):
+                assert seq[k] == _reference_candidates(g, seq[:k], paradigm)[0], (
+                    g.edge_names(), seq[:k], paradigm)
         for _ in range(4):
             perm = rng.sample(range(g.n), g.n)
             for paradigm in Paradigm:
@@ -199,7 +212,39 @@ def test_candidates_match_labels_recomputed_from_scratch():
                     assert state.candidates() == want, where
                     assert [v for v in range(g.n) if state.is_candidate(v)] == want, where
                     if k < g.n:
+                        completed = complete_prefix(g, [names[v] for v in perm[:k]], paradigm)
+                        assert completed.seq[k] == want[0], where
                         state.advance(perm[k])
+
+
+def _encoded(paradigm, steps, n):
+    """The int label of a vertex whose neighbors were visited at the given
+    steps, in ascending order, by the engine's rule table."""
+    op, x = _RULES[paradigm]
+    label = 0
+    for i in steps:
+        label = op(label, x(i, n))
+    return label
+
+
+def test_int_labels_order_like_the_reference_labels():
+    # all pairs of step sets drawn from {1..7}; n = 8 keeps n - i >= 1
+    n = 8
+    subsets = [s for r in range(8) for s in itertools.combinations(range(1, 8), r)]
+    for paradigm in (Paradigm.GS, Paradigm.BFS, Paradigm.DFS, Paradigm.MCS):
+        assert all(_encoded(paradigm, s, n) == _reference_label(paradigm, s, n) for s in subsets)
+    lexbfs, lexdfs, mns = (
+        {s: (_encoded(p, s, n), _reference_label(p, s, n)) for s in subsets}
+        for p in (Paradigm.LEXBFS, Paradigm.LEXDFS, Paradigm.MNS)
+    )
+    # 0 for no steps and never below: -1 marks a visited vertex
+    assert min(label for label, _ in [*lexbfs.values(), *lexdfs.values(), *mns.values()]) == 0
+    for s, t in itertools.product(subsets, repeat=2):
+        for labels in (lexbfs, lexdfs):  # sequences: (n - i, ...) and steps reversed
+            (a, ref_a), (b, ref_b) = labels[s], labels[t]
+            assert (a < b, a == b) == (ref_a < ref_b, ref_a == ref_b), (s, t)
+        (a, ref_a), (b, ref_b) = mns[s], mns[t]
+        assert (a & b == a != b) == (ref_a < ref_b), (s, t)
 
 
 # --------------------------------------------------- paradigm separations
