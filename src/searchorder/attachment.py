@@ -22,12 +22,12 @@ words per mask:
                                then one peel over a bytearray, O(k n)
                                steps; memory: one out-neighbor mask per
                                vertex plus k position lists, nothing sorted
-    forced / free / sinks      O(n) mask tests
+    forced_mask, sink_count    O(n) mask tests
     is_connected               one sink: O(n); else at most n - 1 mask
                                merges, O(n^2 / w) words, no arc list
     recognize_gs_tree          the digraph, then O(n) on YES; a NO adds
                                is_connected
-    arcs, arc_names            O(n + arcs), read from the masks
+    forced, free, arcs         name tuples in index order, O(n + arcs)
 """
 
 from __future__ import annotations
@@ -71,26 +71,21 @@ class AttachmentDigraph(Value):
         names = self.universe.names
         return tuple([names[v] for v in iter_bits(mask)])
 
-    def forced_names(self) -> tuple[str, ...]:
+    @property
+    def forced(self) -> tuple[str, ...]:
         return self._names(self.forced_mask)
 
-    def free_names(self) -> tuple[str, ...]:
+    @property
+    def free(self) -> tuple[str, ...]:
         return self._names(((1 << self.universe.n) - 1) & ~self.forced_mask)
 
     @property
-    def free(self) -> frozenset[str]:
-        return frozenset(self.free_names())
-
-    def arc_names(self) -> tuple[tuple[str, str], ...]:
+    def arcs(self) -> tuple[tuple[str, str], ...]:
         """Arcs as name pairs, sorted by index pair."""
         names = self.universe.names
         return tuple(
             [(names[v], names[u]) for v, out in enumerate(self.out_masks) for u in iter_bits(out)]
         )
-
-    @property
-    def arcs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.arc_names())
 
     def sink_count(self) -> int:
         return sum(1 for out in self.out_masks if not out)

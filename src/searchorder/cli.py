@@ -103,16 +103,16 @@ def attachment(args: argparse.Namespace) -> int:
     digraph = build_attachment_digraph(profile)
     if args.dot:
         print("digraph attachment {")
-        for v in digraph.free_names():
+        for v in digraph.free:
             print(f"  {_dot_id(v)} [shape=doublecircle];")
-        for a, b in digraph.arc_names():
+        for a, b in digraph.arcs:
             print(f"  {_dot_id(a)} -> {_dot_id(b)};")
         print("}")
         return 0
-    for a, b in digraph.arc_names():
+    for a, b in digraph.arcs:
         print(f"{a} -> {b}")
-    print("forced: " + " ".join(digraph.forced_names()))
-    print("free: " + " ".join(digraph.free_names()))
+    print("forced: " + " ".join(digraph.forced))
+    print("free: " + " ".join(digraph.free))
     return 0
 
 

@@ -98,9 +98,6 @@ class Universe(Value):
         except KeyError:
             raise KeyError(f"unknown vertex {name!r}") from None
 
-    def name(self, i: int) -> str:
-        return self.names[i]
-
     def indices(self, names: Iterable[str]) -> tuple[int, ...]:
         try:
             return tuple(map(self._index_map.__getitem__, names))
@@ -120,6 +117,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def adjacency_masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Symmetric neighbour bitmasks of the n-vertex graph with these index pairs."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def _index_pairs(uni: Universe, edges: Iterable[tuple[str, str]]) -> Iterator[tuple[int, int]]:

@@ -223,7 +223,7 @@ def assign_parents(tstar: Graph, q: dict[int, int]) -> Tree:
     pairs = list(tstar.edges)
     for v, candidates in q.items():
         if not candidates:
-            raise ValueError(f"empty candidate set for {tstar.universe.name(v)!r}")
+            raise ValueError(f"empty candidate set for {tstar.universe.names[v]!r}")
         pairs.append((v, (candidates & -candidates).bit_length() - 1))
     return Tree.from_pairs(tstar.universe, pairs)
 

@@ -30,11 +30,10 @@ edge bound, 6 for the degree bound and 20 for the vertex cover.
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value
+from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value, adjacency_masks
 from .traversals import Paradigm
 from .verifiers import certify_by_simulation
 
@@ -55,18 +54,14 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
+        leaf = degree.index(1)  # the smallest leaf
         edges.append((min(leaf, x), max(leaf, x)))
+        degree[leaf] = 0
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+    u = degree.index(1)
+    edges.append((u, degree.index(1, u + 1)))
     return edges
 
 
@@ -90,32 +85,18 @@ def enumerate_labeled_trees(names: Iterable[str]) -> Iterator[Tree]:
 
 def _prufer_code(masks: list[int]) -> tuple[int, ...]:
     """Prüfer sequence of the tree with these adjacency masks: remove the
-    smallest leaf n - 2 times, recording its neighbour each time. Every
-    leaf below a rising pointer is gone, so the smallest leaf is the
-    neighbour just left a leaf below it, or else the next leaf above."""
+    smallest leaf n - 2 times, recording its neighbour each time."""
     masks = list(masks)
+    degree = [m.bit_count() for m in masks]
     code = []
-    pointer, leaf = -1, None
     for _ in range(len(masks) - 2):
-        if leaf is None:
-            pointer += 1
-            while masks[pointer] & (masks[pointer] - 1):
-                pointer += 1
-            leaf = pointer
+        leaf = degree.index(1)  # the smallest leaf
         parent = masks[leaf].bit_length() - 1
         code.append(parent)
         masks[parent] ^= 1 << leaf
-        m = masks[parent]
-        leaf = parent if parent < pointer and not m & (m - 1) else None
+        degree[leaf] = 0
+        degree[parent] -= 1
     return tuple(code)
-
-
-def _masks(n: int, pairs) -> list[int]:
-    masks = [0] * n
-    for u, v in pairs:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _grows_connected(masks: list[int], seq: tuple[int, ...]) -> bool:
@@ -223,7 +204,7 @@ def brute_force_graph_support(
     max_size = len(all_edges) if bound == DEG else min(k, len(all_edges))
     for size in range(max(0, n - 1), max_size + 1):
         for subset in combinations(all_edges, size):
-            masks = _masks(n, subset)
+            masks = adjacency_masks(n, subset)
             if bound == DEG and any(m.bit_count() > k for m in masks):
                 continue
             if not all(_grows_connected(masks, seq) for seq in seqs):
@@ -244,5 +225,5 @@ def min_vertex_cover(graph: Graph) -> tuple[str, ...]:
         for subset in combinations(range(n), size):
             chosen = set(subset)
             if all(u in chosen or v in chosen for u, v in edges):
-                return tuple(graph.universe.name(i) for i in subset)
+                return tuple(graph.universe.names[i] for i in subset)
     raise AssertionError("unreachable: V itself is always a cover")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .core import Graph, Ordering, iter_bits
+from .core import Graph, Ordering, adjacency_masks, iter_bits
 from .traversals import LabelState, Paradigm
 
 
@@ -61,17 +61,13 @@ def satisfies_property(
         raise ValueError("ordering must permute the graph's vertex set")
     seq = sigma.seq
     pos_of = {v: p for p, v in enumerate(seq)}
-    adj = [0] * n
-    for u, v in graph.edges:
-        pu, pv = pos_of[u], pos_of[v]
-        adj[pu] |= 1 << pv
-        adj[pv] |= 1 << pu
+    adj = adjacency_masks(n, [(pos_of[u], pos_of[v]) for u, v in graph.edges])
     full = (1 << n) - 1
     needs_c = paradigm in _NEEDS_NONNEIGHBOR_OF_C
 
     def triple(pa: int, pb: int, pc: int) -> tuple[str, str, str]:
-        name = graph.universe.name
-        return name(seq[pa]), name(seq[pb]), name(seq[pc])
+        names = graph.universe.names
+        return names[seq[pa]], names[seq[pb]], names[seq[pc]]
 
     for pa in range(n - 2):
         neigh_a = adj[pa]

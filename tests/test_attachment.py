@@ -87,7 +87,7 @@ def test_blocker_set_errors():
 
 def test_digraph_shape_for_a_single_ordering():
     dg = build_attachment_digraph(SINGLE)
-    assert sorted(dg.arc_names()) == [
+    assert sorted(dg.arcs) == [
         ("a", "b"),
         ("c", "a"),
         ("c", "b"),
@@ -95,8 +95,21 @@ def test_digraph_shape_for_a_single_ordering():
         ("d", "b"),
         ("d", "c"),
     ]
-    assert sorted(dg.forced_names()) == ["a", "b"]
-    assert sorted(dg.free_names()) == ["c", "d"]
+    assert sorted(dg.forced) == ["a", "b"]
+    assert sorted(dg.free) == ["c", "d"]
+
+
+def test_listings_partition_the_names_and_count_the_mask_bits():
+    # perfbench's attachment.arcs counts len(arcs), that is, the bits of the masks
+    fixtures = [SINGLE, PAIR, DISCONNECTED, ROTATION3, UNREALIZABLE_STAR, UNREALIZABLE_FOREST]
+    for profile in fixtures + head_case_corpus()[::20]:
+        dg = build_attachment_digraph(profile)
+        names, index, forced = dg.universe.names, dg.universe.index, dg.forced
+        assert forced == tuple(names[v] for v, m in enumerate(dg.out_masks) if m.bit_count() < 2)
+        assert dg.free == tuple(name for name in names if name not in forced)
+        pairs = [(index(a), index(b)) for a, b in dg.arcs]
+        assert pairs == sorted(set(pairs))
+        assert len(dg.arcs) == sum(m.bit_count() for m in dg.out_masks)
 
 
 def test_forced_subtree_of_single_ordering():
@@ -141,7 +154,7 @@ def arcs_by_blocker_sets(profile, cases=None):
 @given(profiles(min_n=1, max_n=7, max_rows=4))
 @settings(max_examples=200, deadline=None)
 def test_mask_built_arcs_match_blocker_sets(profile):
-    assert set(build_attachment_digraph(profile).arc_names()) == arcs_by_blocker_sets(profile)
+    assert set(build_attachment_digraph(profile).arcs) == arcs_by_blocker_sets(profile)
 
 
 def head_case_corpus():
@@ -167,7 +180,7 @@ def head_case_corpus():
 def test_peel_cases_match_blocker_sets():
     cases = Counter()
     for profile in head_case_corpus():
-        got = set(build_attachment_digraph(profile).arc_names())
+        got = set(build_attachment_digraph(profile).arcs)
         assert got == arcs_by_blocker_sets(profile, cases), profile
     assert set(cases) == {
         "head keeps its runner-up",
@@ -215,7 +228,7 @@ def test_connectivity_matches_the_arc_graph_with_several_sinks():
         dg = build_attachment_digraph(profile)
         if dg.sink_count() > 1:
             connected = dg.is_connected()
-            assert connected == Graph.build(dg.universe.names, dg.arc_names()).is_connected()
+            assert connected == Graph.build(dg.universe.names, dg.arcs).is_connected()
             seen[connected] += 1
     assert min(seen[True], seen[False]) >= 20, seen
 
@@ -261,7 +274,7 @@ def test_recognize_no_when_attachment_splits(profile):
 def test_recognize_no_when_arcs_cannot_span(profile):
     # connectivity of the attachment graph alone is not enough
     dg = build_attachment_digraph(profile)
-    assert dg.is_connected() and Graph.build(dg.universe.names, dg.arc_names()).is_connected()
+    assert dg.is_connected() and Graph.build(dg.universe.names, dg.arcs).is_connected()
     out = recognize_gs_tree(profile)
     assert (out.is_yes, out.reason) == (False, UNREALIZABLE_ATTACHMENT)
     assert enumerate_gs_tree_supports(profile) == ()
@@ -278,7 +291,7 @@ def test_enumeration_matches_oracle_on_pins():
 
 def test_enumeration_cap_counts_free_vertices():
     profile = Profile.build("abcde", [("a", "b", "c", "d", "e"), ("a", "c", "e", "b", "d")])
-    assert sorted(build_attachment_digraph(profile).free_names()) == ["d", "e"]
+    assert sorted(build_attachment_digraph(profile).free) == ["d", "e"]
     assert edge_sets(enumerate_gs_tree_supports(profile)) == edge_sets(
         all_tree_supports(profile, Paradigm.GS)
     )
@@ -302,7 +315,7 @@ def test_recognizer_against_oracle_seeded():
 
 def test_every_support_lives_inside_the_attachment_graph():
     for profile in random_profiles(412, 120, sizes=(4, 5)):
-        arcs = build_attachment_digraph(profile).arcs
+        arcs = set(build_attachment_digraph(profile).arcs)
         for tree in all_tree_supports(profile, Paradigm.GS):
             for u, v in tree.edge_names():
                 assert (u, v) in arcs or (v, u) in arcs

@@ -180,8 +180,8 @@ def test_attachment_dot_escapes_quotes_in_names(files, capsys):
     assert run(["attachment", "--profile", files("p.txt", text), "--dot"]) == 0
     read = _dot_statements(capsys.readouterr().out)
     digraph = build_attachment_digraph(parse_bounded_profile(text)[0])
-    assert read == [(v,) for v in digraph.free_names()] + list(digraph.arc_names())
-    assert len(read) > len(digraph.free_names()) > 0
+    assert read == [(v,) for v in digraph.free] + list(digraph.arcs)
+    assert len(read) > len(digraph.free) > 0
     assert {v for ids in read for v in ids} == set(names)
 
 

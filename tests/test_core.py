@@ -37,7 +37,7 @@ def c4():
 def test_universe_preserves_declaration_order():
     uni = Universe("dbca")
     assert uni.n == 4
-    assert [uni.name(i) for i in range(4)] == list("dbca")
+    assert [uni.names[i] for i in range(4)] == list("dbca")
     assert uni.index("c") == 2
 
 

@@ -95,10 +95,10 @@ def stage_values(profile):
     the stage functions."""
     dg = build_attachment_digraph(profile)
     tstar = forced_subtree(dg)
-    name = profile.universe.name
+    name = profile.universe.names
 
     def names(q):
-        return {name(v): frozenset(map(name, iter_bits(m))) for v, m in q.items()}
+        return {name[v]: frozenset([name[u] for u in iter_bits(m)]) for v, m in q.items()}
 
     rows = [s.seq for s in profile]
     forced = dg.forced_mask
@@ -108,7 +108,7 @@ def stage_values(profile):
     cleaned = purify(q, groups)
     return {
         "tstar": tstar,
-        "runs": [[(name(guider_of(p)), [*map(name, vs)]) for p, vs in row] for row in runs],
+        "runs": [[(name[guider_of(p)], [name[v] for v in vs]) for p, vs in row] for row in runs],
         "q": names(q),
         "cleaned": names(cleaned),
         "cleaned_masks": cleaned,
@@ -117,8 +117,8 @@ def stage_values(profile):
 
 def test_shrink_fixture_internals():
     dg = build_attachment_digraph(SHRINK)
-    assert sorted(dg.forced_names()) == ["a", "b", "c"]
-    assert sorted(dg.free_names()) == ["d", "e"]
+    assert sorted(dg.forced) == ["a", "b", "c"]
+    assert sorted(dg.free) == ["d", "e"]
     stages = stage_values(SHRINK)
     tstar = stages["tstar"]
     assert sorted(tstar.edge_names()) == [("a", "b"), ("a", "c")]
@@ -155,7 +155,7 @@ def test_forest_fixture_really_has_a_forest_of_forced_vertices():
     dg = build_attachment_digraph(FOREST_TSTAR)
     # T*, the graph the attachment arcs induce on the forced vertices, is a
     # forest with several components
-    assert forced_subtree(dg).m < len(dg.forced_names()) - 1
+    assert forced_subtree(dg).m < len(dg.forced) - 1
 
 
 def test_recognizer_against_oracle_seeded():
@@ -176,7 +176,7 @@ def test_free_vertices_come_out_as_leaves():
         dg = build_attachment_digraph(profile)
         out = recognize_dfs_tree(profile)
         if out.is_yes:
-            for v in dg.free_names():
+            for v in dg.free:
                 seen_free += 1
                 assert out.tree.degree(v) == 1
     assert seen_free > 0  # the corpus really exercises the attachment step

@@ -17,9 +17,9 @@ from searchorder import (
     is_s_ordering,
     min_vertex_cover,
 )
-from searchorder.core import DEG, EDGE
+from searchorder.core import DEG, EDGE, adjacency_masks
 from searchorder.oracles import (
-    _growing_trees, _grows_connected, _masks, _prufer_code, _prufer_edges,
+    _growing_trees, _grows_connected, _prufer_code, _prufer_edges,
     enumerate_tree_edge_sets,
 )
 
@@ -94,7 +94,7 @@ def product_growing_trees(seqs):
     kept = []
     for parents in itertools.product(*(first[:i] for i in range(1, n))):
         pairs = tuple(zip(first[1:], parents))
-        masks = _masks(n, pairs)
+        masks = adjacency_masks(n, pairs)
         if all(_grows_connected(masks, seq) for seq in seqs[1:]):
             kept.append((_prufer_code(masks), pairs))
     return kept
@@ -117,7 +117,26 @@ def test_prufer_code_inverts_the_decoder():
     for n in range(1, 8):
         for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
             edges = _prufer_edges(seq, n) if n > 1 else []
-            assert _prufer_code(_masks(n, edges)) == seq
+            assert _prufer_code(adjacency_masks(n, edges)) == seq
+
+
+# Prüfer (1918): join the smallest leaf to each code entry in turn, then the
+# last two vertices. In every code but (1, 1), an entry becomes a leaf once
+# its last occurrence is read, and is then smaller than a leaf of the start.
+PRUFER_TABLE = [
+    (4, (1, 1), {(0, 1), (1, 2), (1, 3)}),
+    (4, (2, 0), {(0, 2), (0, 3), (1, 2)}),
+    (5, (0, 1, 2), {(0, 1), (0, 3), (1, 2), (2, 4)}),
+    (6, (3, 3, 3, 4), {(0, 3), (1, 3), (2, 3), (3, 4), (4, 5)}),
+    (7, (4, 0, 0, 1, 6), {(0, 1), (0, 3), (0, 4), (1, 6), (2, 4), (5, 6)}),
+]
+
+
+@pytest.mark.parametrize("n, code, edges", PRUFER_TABLE)
+def test_prufer_maps_match_the_textbook_decoding(n, code, edges):
+    decoded = _prufer_edges(code, n)
+    assert len(decoded) == n - 1 and set(decoded) == edges
+    assert _prufer_code(adjacency_masks(n, edges)) == code
 
 
 # -------------------------------------------------------- bounded problems

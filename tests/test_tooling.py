@@ -1,8 +1,9 @@
 """Hygiene checks that stand in for a linter: the public API resolves
 and matches the README's list, importing the package or its CLI loads
 only what it must, no package module imports a name it never uses, no
-private name is left without a user, every module parses as Python 3.10,
-and the shared test corpora refuse requests they cannot meet."""
+private name, public method or unexported function is left without a
+user, every module parses as Python 3.10, and the shared test corpora
+refuse requests they cannot meet."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,33 @@ def test_every_public_method_has_a_user_in_the_package_or_perfbench():
                     and not item.name.startswith("_")
                     and item.name not in read
                 ]
+    assert unused == []
+
+
+def _reads(tree):
+    """How often each name is read in tree, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    )
+
+
+def test_every_unexported_public_function_has_a_user_in_the_package_or_perfbench():
+    # the function-level partner of the method test above; a function's
+    # reads of itself, as in a recursion, do not count
+    trees = {path: ast.parse(path.read_text()) for path in [*MODULES, *PERFBENCH.glob("*.py")]}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in searchorder.__all__
+        and reads[node.name] == _reads(node)[node.name]
+    ]
     assert unused == []
 
 
