@@ -128,6 +128,15 @@ def adjacency_masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def neighbour_lists(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Neighbour index lists of the n-vertex graph with these index pairs."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def _index_pairs(uni: Universe, edges: Iterable[tuple[str, str]]) -> Iterator[tuple[int, int]]:
     """Name-pair edges as index pairs (u, v), u < v; a self-loop is an error."""
     index = uni.index
@@ -174,11 +183,7 @@ class Graph(Value):
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-        return tuple(frozenset(s) for s in sets)
+        return tuple(map(frozenset, neighbour_lists(self.n, self.edges)))
 
     def degree(self, name: str) -> int:
         return len(self._adj[self.universe.index(name)])

@@ -41,7 +41,7 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
    tree (the same linear check, O(k n)) is defensive and is never
-   expected to fail.
+   expected to fail. It is skipped when no vertex is free: the tree is T*.
 
 Free vertices are always leaves of the constructed tree.
 """
@@ -256,7 +256,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
         return RecognitionOutcome(False, reason=EMPTY_Q)
 
     tree = assign_parents(tstar, q)
-    for seq in rows:
+    for seq in rows if q else ():  # with no free vertex, step 3 checked the whole rows
         if not frontier_check(tree, seq, Paradigm.DFS):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream

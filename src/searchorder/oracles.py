@@ -15,13 +15,13 @@ those come after v in r, so the answer is final; before it, a vertex
 before v in r could still be hung off v. A branch that fails a test is
 cut, so the leaves are exactly the trees on which every row grows
 connected. Sorting them by Prüfer code restores the order of
-`enumerate_tree_edge_sets`. A candidate is accepted only when
-`certify_by_simulation` replays every row through the label simulation,
+`enumerate_tree_edge_sets`. A candidate is accepted only when `replays`
+runs every row through the label simulation on its neighbour lists,
 never the four-point shortcuts or the attachment digraph, so the oracles
-share no nontrivial code path with the recognizers they check. The
-bounded problems, named by a bound (EDGE or DEG) and its k, try edge
-subsets of increasing size, with the same growth check on each whole
-subset before simulation.
+share no nontrivial code path with the recognizers they check; a Tree
+or Graph is built only for an answer. The bounded problems, named by a
+bound (EDGE or DEG) and its k, try edge subsets of increasing size,
+with the same growth check on each whole subset before simulation.
 
 Every search here is exponential, so each raises CapError above a fixed
 size, set by the module constants: n = 8 for tree supports, 5 for the
@@ -33,9 +33,10 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value, adjacency_masks
+from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value
+from .core import adjacency_masks, neighbour_lists
 from .traversals import Paradigm
-from .verifiers import certify_by_simulation
+from .verifiers import replays
 
 TREE_ENUMERATION_CAP = 8
 EDGE_SEARCH_CAP = 5
@@ -156,10 +157,11 @@ def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
         raise CapError(f"tree enumeration needs n <= {TREE_ENUMERATION_CAP}, got n = {n}")
     if n == 0:
         raise ValueError("need at least one vertex")
-    for _code, pairs in sorted(_growing_trees([o.seq for o in profile.orderings])):
-        tree = Tree.from_pairs(profile.universe, pairs)
-        if all(certify_by_simulation(tree, o, paradigm) for o in profile.orderings):
-            yield tree
+    seqs = [o.seq for o in profile.orderings]
+    for _code, pairs in sorted(_growing_trees(seqs)):
+        adj = neighbour_lists(n, pairs)
+        if all(replays(adj, seq, paradigm) for seq in seqs):
+            yield Tree.from_pairs(profile.universe, pairs)
 
 
 def brute_force_tree_support(profile: Profile, paradigm: Paradigm) -> OracleResult:
@@ -207,11 +209,10 @@ def brute_force_graph_support(
             masks = adjacency_masks(n, subset)
             if bound == DEG and any(m.bit_count() > k for m in masks):
                 continue
-            if not all(_grows_connected(masks, seq) for seq in seqs):
-                continue
-            graph = Graph(profile.universe, frozenset(subset))
-            if all(certify_by_simulation(graph, o, paradigm) for o in profile.orderings):
-                return OracleResult(True, graph)
+            if all(_grows_connected(masks, seq) for seq in seqs):
+                adj = neighbour_lists(n, subset)
+                if all(replays(adj, seq, paradigm) for seq in seqs):
+                    return OracleResult(True, Graph(profile.universe, frozenset(subset)))
     return OracleResult(False)
 
 

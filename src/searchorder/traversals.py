@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import add, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import CapError, Graph, Ordering
 
@@ -77,7 +77,7 @@ class LabelState:
 
     __slots__ = ("paradigm", "rule", "n", "adj", "labels", "step")
 
-    def __init__(self, adj: Sequence[frozenset[int]], paradigm: Paradigm):
+    def __init__(self, adj: Sequence[Iterable[int]], paradigm: Paradigm):
         self.paradigm = paradigm
         self.rule = _RULES[paradigm]
         self.n = len(adj)

@@ -16,7 +16,7 @@ scope. The paper's letter for each property names its paradigm:
 MCS has no such characterization.
 
 Two engines decide `is_s_ordering`: `frontier_check`, one O(n + m) pass,
-for GS, BFS and DFS; and `certify_by_simulation`, which replays the
+for GS, BFS and DFS; and `certify_by_simulation`, which `replays` the
 ordering against the label semantics and is the ground truth for all
 seven paradigms, for LexBFS, LexDFS, MCS and MNS. `satisfies_property`,
 the O(n^2)-pair scan of the six properties, is the reference that the
@@ -29,7 +29,7 @@ candidate when visited extends to a full ordering.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Graph, Ordering, adjacency_masks, iter_bits
 from .traversals import LabelState, Paradigm
@@ -130,12 +130,16 @@ def is_s_ordering(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
 
 
 def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
-    """Replay sigma against the label semantics; ground truth for all
-    seven paradigms."""
+    """Replay sigma against the label semantics; ground truth for all seven paradigms."""
     if sigma.universe != graph.universe:
         raise ValueError("ordering must permute the graph's vertex set")
-    state = LabelState(graph._adj, paradigm)
-    for v in sigma.seq:
+    return replays(graph._adj, sigma.seq, paradigm)
+
+
+def replays(adj: Sequence[Iterable[int]], seq: Sequence[int], paradigm: Paradigm) -> bool:
+    """Whether each vertex of seq is a candidate when visited, on neighbour lists adj."""
+    state = LabelState(adj, paradigm)
+    for v in seq:
         if not state.is_candidate(v):
             return False
         state.advance(v)

@@ -217,6 +217,25 @@ def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
     assert (out.is_yes, out.reason) == (False, FINAL_VERIFY_FAILED)
 
 
+@pytest.mark.parametrize("profile, checks_per_row", [
+    # all forced: T* is the whole tree, checked once against each whole row
+    (Profile.build("abcde", [tuple("abcde"), tuple("edcba"), tuple("cbade")]), 1),
+    # d and e are free: each row is checked restricted, then whole
+    (YES_PATH, 2),
+])
+def test_frontier_checks_per_row_of_a_yes(monkeypatch, profile, checks_per_row):
+    assert bool(build_attachment_digraph(profile).free) == (checks_per_row == 2)
+    calls = []
+
+    def counting(graph, seq, paradigm):
+        calls.append(seq)
+        return frontier_check(graph, seq, paradigm)
+
+    monkeypatch.setattr(dfs_tree, "frontier_check", counting)
+    assert recognize_dfs_tree(profile).is_yes
+    assert len(calls) == checks_per_row * len(profile)
+
+
 # ------------------------------------------------- stage references
 
 

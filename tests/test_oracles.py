@@ -1,6 +1,7 @@
 """Brute-force ground truth: labeled-tree enumeration and support search."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from searchorder import (
     Graph,
     Paradigm,
     Profile,
+    Tree,
     all_tree_supports,
     brute_force_graph_support,
     brute_force_tree_support,
@@ -17,11 +19,13 @@ from searchorder import (
     is_s_ordering,
     min_vertex_cover,
 )
+from searchorder import oracles
 from searchorder.core import DEG, EDGE, adjacency_masks
 from searchorder.oracles import (
     _growing_trees, _grows_connected, _prufer_code, _prufer_edges,
     enumerate_tree_edge_sets,
 )
+from searchorder.verifiers import replays
 
 from conftest import k4, planted_tree_profiles, random_profiles
 
@@ -168,6 +172,81 @@ def test_clique_bound_is_always_enough():
     profile = Profile.build("abcde", rows)
     result = brute_force_graph_support(profile, Paradigm.LEXBFS, EDGE, 10)
     assert result.is_yes
+
+
+def reference_graph_supports(profile, paradigm):
+    """Every connected graph, by edge count and then lexicographically by
+    edge list, that replays every row."""
+    n = profile.universe.n
+    all_edges = list(itertools.combinations(range(n), 2))
+    for size in range(len(all_edges) + 1):
+        for subset in itertools.combinations(all_edges, size):
+            graph = Graph(profile.universe, frozenset(subset))
+            if graph.is_connected() and all(
+                certify_by_simulation(graph, sigma, paradigm) for sigma in profile
+            ):
+                yield graph
+
+
+@pytest.mark.parametrize("paradigm", list(Paradigm))
+def test_bounded_oracle_matches_the_exhaustive_reference(paradigm):
+    seed = list(Paradigm).index(paradigm)
+    corpus = random_profiles(730 + seed, 10, sizes=(1, 2, 3, 4), rows=(1,))
+    corpus += random_profiles(740 + seed, 10, sizes=(3, 4), rows=(2, 3))
+    answers = Counter()
+    for profile in corpus:
+        supports = list(reference_graph_supports(profile, paradigm))
+        for bound, k in [(EDGE, k) for k in range(7)] + [(DEG, k) for k in range(4)]:
+            fits = [g for g in supports if (g.m if bound == EDGE else g.max_degree()) <= k]
+            result = brute_force_graph_support(profile, paradigm, bound, k)
+            assert result.is_yes == bool(fits), (profile, bound, k)
+            assert result.witness == (fits[0] if fits else None), (profile, bound, k)
+            answers[bound, result.is_yes] += 1
+    assert min(answers.values()) >= 10 and len(answers) == 4
+
+
+def test_candidates_build_no_values(monkeypatch):
+    built = Counter()
+
+    class CountingTree(Tree):
+        def __init__(self, *args):
+            built["Tree"] += 1
+            super().__init__(*args)
+
+    class CountingGraph(Graph):
+        def __init__(self, *args):
+            built["Graph"] += 1
+            super().__init__(*args)
+
+    def counting_replays(*args):
+        built["replays"] += 1
+        return replays(*args)
+
+    adj = Graph.__dict__["_adj"].func
+    monkeypatch.setattr(oracles, "Tree", CountingTree)
+    monkeypatch.setattr(oracles, "Graph", CountingGraph)
+    monkeypatch.setattr(oracles, "replays", counting_replays)
+    monkeypatch.setattr(Graph, "_adj", property(lambda g: built.update(["_adj"]) or adj(g)))
+    corpus = random_profiles(750, 20, sizes=(4, 5), rows=(1, 2, 3))
+    for paradigm in (Paradigm.GS, Paradigm.DFS, Paradigm.LEXBFS):
+        corpus += planted_tree_profiles(751, 5, paradigm, sizes=(4, 5))
+    replayed = 0
+    for profile in corpus:
+        for paradigm in Paradigm:
+            built.clear()
+            result = brute_force_tree_support(profile, paradigm)
+            assert built["Tree"] == result.is_yes and built["Graph"] == 0
+            built.clear()
+            supports = all_tree_supports(profile, paradigm)
+            assert built["Tree"] == len(supports)
+            replayed += built["replays"] - len(supports) * len(profile)
+            for bound in (EDGE, DEG):
+                built.clear()
+                result = brute_force_graph_support(profile, paradigm, bound, 2)
+                assert built["Graph"] == result.is_yes and built["Tree"] == 0
+                replayed += built["replays"] - result.is_yes * len(profile)
+            assert built["_adj"] == 0
+    assert replayed > 300  # rows replayed on candidates that were not kept
 
 
 def test_edge_bound_monotonicity_seeded():
