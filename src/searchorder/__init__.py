@@ -19,11 +19,9 @@ _EXPORTS = {
     ),
     "traversals": (
         "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",
-        "enumerate_orderings", "generate_ordering",
+        "enumerate_orderings", "generate_ordering", "is_partial_ordering",
     ),
-    "verifiers": (
-        "certify_by_simulation", "is_partial_ordering", "is_s_ordering", "satisfies_property",
-    ),
+    "verifiers": ("certify_by_simulation", "is_s_ordering", "satisfies_property"),
     "attachment": (
         "DISCONNECTED_ATTACHMENT", "UNREALIZABLE_ATTACHMENT", "AttachmentDigraph",
         "RecognitionOutcome", "build_attachment_digraph", "enumerate_gs_tree_supports",

@@ -45,6 +45,17 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace('"', '\\"') + ("\\\n" if name.endswith("\\") else "") + '"'
 
 
+def _answer(is_yes: bool, witness, no_line: str) -> int:
+    """Print YES and the witness's edges, or the NO line; return the exit code."""
+    if not is_yes:
+        print(no_line)
+        return 1
+    print("YES")
+    for a, b in witness.edge_names():
+        print(f"{a} {b}")
+    return 0
+
+
 def verify(args: argparse.Namespace) -> int:
     """Check whether an ordering is a valid search ordering."""
     from .verifiers import is_s_ordering, satisfies_property
@@ -86,13 +97,7 @@ def recognize(args: argparse.Namespace) -> int:
     else:
         from .attachment import recognize_gs_tree as recognizer
     outcome = recognizer(profile)
-    if not outcome.is_yes:
-        print(f"NO {outcome.reason}")
-        return 1
-    print("YES")
-    for a, b in outcome.tree.edge_names():
-        print(f"{a} {b}")
-    return 0
+    return _answer(outcome.is_yes, outcome.tree, f"NO {outcome.reason}")
 
 
 def attachment(args: argparse.Namespace) -> int:
@@ -129,13 +134,7 @@ def solve(args: argparse.Namespace) -> int:
         if k is None:
             args.parser.error("--k is required for edge/deg problems")
         result = oracles.brute_force_graph_support(profile, para, args.problem, k)
-    if not result.is_yes:
-        print("NO")
-        return 1
-    print("YES")
-    for a, b in result.witness.edge_names():
-        print(f"{a} {b}")
-    return 0
+    return _answer(result.is_yes, result.witness, "NO")
 
 
 def reduce(args: argparse.Namespace) -> int:

@@ -18,10 +18,13 @@ connected. Sorting them by Prüfer code restores the order of
 `enumerate_tree_edge_sets`. A candidate is accepted only when `replays`
 runs every row through the label simulation on its neighbour lists,
 never the four-point shortcuts or the attachment digraph, so the oracles
-share no nontrivial code path with the recognizers they check; a Tree
-or Graph is built only for an answer. The bounded problems, named by a
-bound (EDGE or DEG) and its k, try edge subsets of increasing size,
-with the same growth check on each whole subset before simulation.
+share no nontrivial code path with the recognizers they check; a Tree or
+Graph is built only for an answer. Under GS the replay never rejects a
+growing tree, as on a tree growing connected is exactly the GS property;
+it stays so that every acceptance goes through the label replay. The
+bounded problems, named by a bound (EDGE or DEG) and its k, try edge
+subsets of increasing size, with the same growth check on each whole
+subset before simulation.
 
 Every search here is exponential, so each raises CapError above a fixed
 size, set by the module constants: n = 8 for tree supports, 5 for the
@@ -35,8 +38,7 @@ from typing import Iterable, Iterator
 
 from .core import DEG, EDGE, CapError, Graph, Profile, Tree, Universe, Value
 from .core import adjacency_masks, neighbour_lists
-from .traversals import Paradigm
-from .verifiers import replays
+from .traversals import Paradigm, replays
 
 TREE_ENUMERATION_CAP = 8
 EDGE_SEARCH_CAP = 5

@@ -156,10 +156,8 @@ def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
 # --- DFS ------------------------------------------------------------------
 
 
-def _dfs_instance(source: Graph, bound: str):
-    n = source.n
-    edge_list = sorted(source.edges)
-    V = [f"v{i}" for i in range(1, n + 1)]
+def _dfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
+    n = len(V)
     F = [f"f{i}" for i in range(1, n + 1)]
     VF = [x for pair in zip(V, F) for x in pair]
     Z = [f"z{t}" for t in range(1, n + 1)] if bound == DEG else []
@@ -190,13 +188,11 @@ def _dfs_instance(source: Graph, bound: str):
 # --- BFS / LexBFS ---------------------------------------------------------
 
 
-def _bfs_instance(source: Graph, bound: str):
-    n = source.n
-    edge_list = sorted(source.edges)
+def _bfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
+    n = len(V)
     nsq = n * n
     drone = build_drone(n, nsq)  # the clique V, each v{i} with pendants f{i}_1..f{i}_nsq
     names = list(drone.universe.names)
-    V = names[:n]
     fgroups = [names[n + i * nsq : n + (i + 1) * nsq] for i in range(n)]
     Z = [f"z{q}" for q in range(1, n * (n + 1) + 1)] if bound == DEG else []
     universe = names + ["z"] + Z
@@ -239,11 +235,8 @@ def _bfs_instance(source: Graph, bound: str):
 # --- LexDFS ----------------------------------------------------------------
 
 
-def _lexdfs_instance(source: Graph, bound: str):
-    n = source.n
-    edge_list = sorted(source.edges)
-    m = len(edge_list)
-    V = [f"v{i}" for i in range(1, n + 1)]
+def _lexdfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
+    n, m = len(V), len(edge_list)
     T = [f"t{p}" for p in range(1, m + 1)]
     W = [f"w{p}" for p in range(1, m + 1)]
     U = [f"u{p}" for p in range(1, m + 1)]
@@ -300,11 +293,8 @@ def _lexdfs_instance(source: Graph, bound: str):
 # --- MCS --------------------------------------------------------------------
 
 
-def _mcs_instance(source: Graph, bound: str):
-    n = source.n
-    edge_list = sorted(source.edges)
-    m = len(edge_list)
-    V = [f"v{i}" for i in range(1, n + 1)]
+def _mcs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
+    n, m = len(V), len(edge_list)
     W = [f"w{x}" for x in range(1, 2 * m + 1)]
     fgroups = [[f"f{i}_{p}" for p in range(1, n - i + 2)] for i in range(1, n + 1)]
     fall = [f for group in fgroups for f in group]
@@ -381,11 +371,8 @@ def _mcs_instance(source: Graph, bound: str):
 # --- MNS --------------------------------------------------------------------
 
 
-def _mns_instance(source: Graph, bound: str):
-    n = source.n
-    edge_list = sorted(source.edges)
-    m = len(edge_list)
-    V = [f"v{i}" for i in range(1, n + 1)]
+def _mns_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
+    n, m = len(V), len(edge_list)
     T = [f"t{x}" for x in range(1, m + 1)]
     W = [f"w{x}" for x in range(1, 2 * m + 1)]
     F = [f"f{i}" for i in range(1, n + 1)]
@@ -483,7 +470,9 @@ def reduce(paradigm: Paradigm, bound: str, source: Graph, kappa: int) -> Reducti
     if paradigm not in _BUILDERS:
         raise ValueError(f"no construction exists for paradigm {paradigm.value!r}")
     _check_source(source, kappa, paradigm)
-    universe, edges, rows = _BUILDERS[paradigm](source, bound)
+    # every builder names source vertex i as V[i] and edges by index pairs
+    V = [f"v{i}" for i in range(1, source.n + 1)]
+    universe, edges, rows = _BUILDERS[paradigm](V, sorted(source.edges), bound)
     gadget = Graph.build(universe, edges)
     profile = Profile.build(universe, rows)
     k = kappa + (gadget.m if bound == EDGE else gadget.degree(ATTACH_VERTEX))
@@ -509,12 +498,8 @@ def validate_forward(instance: ReductionInstance, cover: Iterable[str]) -> bool:
             raise ValueError(f"cover misses edge {a}-{b}")
     if len(cover_list) > instance.kappa:
         raise ValueError("cover exceeds kappa")
-    vmap = {
-        name: f"v{idx + 1}" for idx, name in enumerate(src.universe.names)
-    }
-    support = instance.gadget.with_edges(
-        (ATTACH_VERTEX, vmap[v]) for v in cover_list
-    )
+    vmap = {name: f"v{i}" for i, name in enumerate(src.universe.names, start=1)}
+    support = instance.gadget.with_edges((ATTACH_VERTEX, vmap[v]) for v in cover_list)
     if instance.bound == EDGE:
         if support.m > instance.k:
             return False

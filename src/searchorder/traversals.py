@@ -31,6 +31,11 @@ and MNS. A sequence's entries are distinct and decreasing, so integer
 order is exactly its lexicographic order, and set inclusion is bitmask
 inclusion; a candidacy test is then one `max`, or for MNS one pass of
 `&` over the larger labels.
+
+`replays` runs indices against these rules, testing each vertex's
+candidacy: the ground truth of `certify_by_simulation` and the oracles.
+`is_partial_ordering` replays a prefix of names: a label search never
+gets stuck, so a prefix of candidates extends to a full ordering.
 """
 
 from __future__ import annotations
@@ -123,16 +128,17 @@ class LabelState:
         return 0 <= label >= max(labels)
 
 
-def _replay(graph: Graph, names: Sequence[str], paradigm: Paradigm) -> LabelState:
-    """The run state after visiting the named vertices in order, with no
-    candidacy test; a repeated vertex is an error."""
-    state = LabelState(graph._adj, paradigm)
-    for name in names:
-        i = graph.universe.index(name)
-        if state.labels[i] < 0:
+def _resolve(graph: Graph, prefix: Sequence[str]) -> list[int]:
+    """The indices of the named vertices, left to right; an unknown or
+    repeated name is an error at the first place it stands."""
+    seq, seen = [], set()
+    for name in prefix:
+        v = graph.universe.index(name)
+        if v in seen:
             raise ValueError(f"duplicate vertex {name!r} in prefix")
-        state.advance(i)
-    return state
+        seen.add(v)
+        seq.append(v)
+    return seq
 
 
 def generate_ordering(
@@ -187,8 +193,11 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
     is a valid ordering of the paradigm iff the prefix is one, which
     `is_partial_ordering` decides without completing it.
     """
-    state = _replay(graph, prefix, paradigm)
-    seq, labels = list(graph.universe.indices(prefix)), state.labels
+    seq = _resolve(graph, prefix)
+    state = LabelState(graph._adj, paradigm)
+    for v in seq:
+        state.advance(v)
+    labels = state.labels
     while len(seq) < graph.n:
         if paradigm is Paradigm.MNS:  # the largest int is maximal, maybe not first
             v = state.candidates()[0]
@@ -197,3 +206,20 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
         state.advance(v)
         seq.append(v)
     return Ordering(graph.universe, tuple(seq))
+
+
+def replays(adj: Sequence[Iterable[int]], seq: Sequence[int], paradigm: Paradigm) -> bool:
+    """Whether each vertex of seq is a candidate when visited, on neighbour lists adj."""
+    state = LabelState(adj, paradigm)
+    for v in seq:
+        if not state.is_candidate(v):
+            return False
+        state.advance(v)
+    return True
+
+
+def is_partial_ordering(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> bool:
+    """Whether the prefix extends to a full ordering of the paradigm: whether
+    each of its vertices is a candidate when visited. A repeated vertex is
+    an error wherever it stands."""
+    return replays(graph._adj, _resolve(graph, prefix), paradigm)

@@ -21,18 +21,15 @@ ordering against the label semantics and is the ground truth for all
 seven paradigms, for LexBFS, LexDFS, MCS and MNS. `satisfies_property`,
 the O(n^2)-pair scan of the six properties, is the reference that the
 engines are tested against and names the first violating triple.
-`is_partial_ordering` replays a prefix, testing each vertex's candidacy:
-a label search never gets stuck, so a prefix whose every vertex is a
-candidate when visited extends to a full ordering.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Graph, Ordering, adjacency_masks, iter_bits
-from .traversals import LabelState, Paradigm
+from .traversals import Paradigm, replays
 
 
 # witness scope is relative to positions of a and b; LB, LD and M
@@ -134,28 +131,4 @@ def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> 
     if sigma.universe != graph.universe:
         raise ValueError("ordering must permute the graph's vertex set")
     return replays(graph._adj, sigma.seq, paradigm)
-
-
-def replays(adj: Sequence[Iterable[int]], seq: Sequence[int], paradigm: Paradigm) -> bool:
-    """Whether each vertex of seq is a candidate when visited, on neighbour lists adj."""
-    state = LabelState(adj, paradigm)
-    for v in seq:
-        if not state.is_candidate(v):
-            return False
-        state.advance(v)
-    return True
-
-
-def is_partial_ordering(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> bool:
-    """Whether the prefix extends to a full ordering of the paradigm: whether
-    each of its vertices is a candidate when visited. A repeated vertex is
-    an error wherever it stands."""
-    state, partial = LabelState(graph._adj, paradigm), True
-    for name in prefix:
-        v = graph.universe.index(name)
-        if state.labels[v] < 0:
-            raise ValueError(f"duplicate vertex {name!r} in prefix")
-        partial = partial and state.is_candidate(v)
-        state.advance(v)
-    return partial
 

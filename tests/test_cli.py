@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import os
+import re
 import string
 import subprocess
 import sys
@@ -23,6 +24,8 @@ K4 = "vertices: a b c d\na b\na c\na d\nb c\nb d\nc d\n"
 PAIR_PROFILE = "vertices: a b c d\na b c d\nb a c d\n"
 SPLIT_PROFILE = "vertices: a b c d\na b c d\na b d c\nc d a b\n"
 STAR_PROFILE = "vertices: a b c d\nb a c d\nb c a d\nc a b d\n"
+NINE = "vertices: a b c d e f g h i\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -300,6 +303,30 @@ def test_negative_bound_is_an_input_error(files, capsys):
     assert run(["solve", "--problem", "deg", "--paradigm", "gs",
                 "--profile", files("p.txt", PAIR_PROFILE), "--k", "-1"]) == 2
     assert capsys.readouterr().err == "error: k must be non-negative\n"
+
+
+# a command line, finished by an input file, that prints each concrete
+# `error: ...` example of README's CLI section
+README_ERRORS = {
+    "error: unknown vertex 'z'": (
+        ["generate", "--paradigm", "bfs", "--start", "z", "--graph"], PATH3),
+    "error: k must be non-negative": (
+        ["solve", "--problem", "deg", "--paradigm", "gs", "--k", "-1", "--profile"], PAIR_PROFILE),
+    "error: enumeration needs n <= 8, got n = 9": (
+        ["enumerate", "--paradigm", "dfs", "--graph"], NINE),
+}
+
+
+def test_readme_error_examples_are_what_the_cli_prints(files, capsys):
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    spans = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", section)]
+    examples = [span for span in spans if span.startswith("error: ") and "<" not in span]
+    assert examples
+    for example in examples:
+        assert example in README_ERRORS, example
+        argv, text = README_ERRORS[example]
+        assert run(argv + [files("input.txt", text)]) == 2, example
+        assert capsys.readouterr().err == example + "\n"
 
 
 def test_unknown_vertex_message_is_unquoted(files, capsys):

@@ -20,12 +20,12 @@ from searchorder import (
     min_vertex_cover,
 )
 from searchorder import oracles
-from searchorder.core import DEG, EDGE, adjacency_masks
+from searchorder.core import DEG, EDGE, adjacency_masks, neighbour_lists
 from searchorder.oracles import (
     _growing_trees, _grows_connected, _prufer_code, _prufer_edges,
     enumerate_tree_edge_sets,
 )
-from searchorder.verifiers import replays
+from searchorder.traversals import replays
 
 from conftest import k4, planted_tree_profiles, random_profiles
 
@@ -115,6 +115,21 @@ def test_pruned_walk_keeps_exactly_the_growing_trees_at_n7():
         assert _growing_trees(seqs) == want, profile
         kept += len(want)
     assert kept > len(corpus)
+
+
+def test_every_growing_tree_replays_every_row_under_gs():
+    # on a tree, growing connected is exactly the GS property: the GS
+    # replay that accepts each candidate never rejects one
+    corpus = random_profiles(722, 40, sizes=(3, 4, 5, 6), rows=(1, 2, 3))
+    corpus += planted_tree_profiles(723, 20, Paradigm.GS, sizes=(3, 4, 5, 6))
+    grown = 0
+    for profile in corpus:
+        seqs = [sigma.seq for sigma in profile]
+        for _code, pairs in _growing_trees(seqs):
+            adj = neighbour_lists(profile.universe.n, pairs)
+            assert all(replays(adj, seq, Paradigm.GS) for seq in seqs), (profile, pairs)
+            grown += 1
+    assert grown > len(corpus)
 
 
 def test_prufer_code_inverts_the_decoder():

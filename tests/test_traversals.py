@@ -120,11 +120,23 @@ def test_complete_prefix_keeps_the_prefix():
     assert len(done) == done.universe.n
 
 
-@pytest.mark.parametrize("prefix", [("a", "a"), ("a", "b", "a")])
+# names resolve left to right, so the first unknown or repeated one decides the error
+_BAD_PREFIXES = {
+    ("a", "a"): (ValueError, "duplicate vertex 'a' in prefix"),
+    ("a", "b", "a"): (ValueError, "duplicate vertex 'a' in prefix"),
+    ("a", "zz", "a"): (KeyError, "unknown vertex 'zz'"),
+    ("a", "a", "zz"): (ValueError, "duplicate vertex 'a' in prefix"),
+}
+
+
+@pytest.mark.parametrize("prefix", _BAD_PREFIXES)
 def test_repeated_prefix_vertex_is_named(prefix):
+    error, message = _BAD_PREFIXES[prefix]
     for check in (complete_prefix, is_partial_ordering):
-        with pytest.raises(ValueError, match="duplicate vertex 'a' in prefix"):
+        with pytest.raises(error, match=message):
             check(PATH3, prefix, Paradigm.BFS)
+    with pytest.raises(KeyError, match="unknown vertex 'zz'"):
+        generate_ordering(PATH3, Paradigm.BFS, start="zz")
 
 
 def test_advance_rejects_a_visited_vertex():
