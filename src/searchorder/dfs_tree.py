@@ -13,17 +13,17 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    vertex, so T* is a forest, and a tree iff it has one edge fewer
    than the forced vertices. All-forced profiles take the same path.
 3. Every ordering restricted to the forced set must be a DFS-ordering
-   of T* (a linear stack check: O(k n)), and each free vertex v gets a
-   candidate set Q(v): for each ordering, the T*-path from v's
-   *guider* (nearest preceding forced vertex) to the next forced
-   vertex x, less x, or to the ordering's first vertex when no forced
-   vertex follows, intersected over all orderings. One sweep per
-   ordering cuts it into runs, maximal stretches of free vertices that
-   share guider and path; each run walks its path once, by parent and
-   depth in T* rooted once per call, and keeps the masks of the path's
-   prefixes. An ordering's paths are disjoint stretches of the DFS
-   walk of T*, which crosses each edge twice: O(k n) steps in all.
-   Runs stay the unit to the end.
+   of T* (`_dfs_walk`, a stack walk, exact as T* is a tree: O(k n)),
+   and each free vertex v gets a candidate set Q(v): for each ordering,
+   the T*-path from v's *guider* (nearest preceding forced vertex) to
+   the next forced vertex x, less x, or to the ordering's first vertex
+   when no forced vertex follows, intersected over all orderings. One
+   sweep per ordering cuts it into runs, maximal stretches of free
+   vertices that share guider and path; each run walks its path once,
+   by parent and depth in T* rooted once per call, and keeps the masks
+   of the path's prefixes. An ordering's paths are disjoint stretches
+   of the DFS walk of T*, which crosses each edge twice: O(k n) steps
+   in all. Runs stay the unit to the end.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
    to a fixed point; an empty set means no support exists, so
    purification runs only when every set is non-empty (removals never
@@ -40,8 +40,9 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    that narrow, O(n h) in all, and at most 3 on every profile measured.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
-   tree (the same linear check, O(k n)) is defensive and is never
-   expected to fail. It is skipped when no vertex is free: the tree is T*.
+   tree (the same walk, exact as `Tree` validates it: O(k n)) is
+   defensive, never expected to fail, and skipped when no vertex is
+   free: the tree is T*.
 
 Free vertices are always leaves of the constructed tree.
 """
@@ -61,13 +62,32 @@ from .attachment import (
     forced_subtree,
 )
 from .core import Graph, Profile, Tree
-from .traversals import Paradigm
-from .verifiers import frontier_check
 
 TSTAR_NOT_SUPPORT_FULL = "TSTAR_NOT_SUPPORT_FULL"
 RESTRICTION_FAILS = "RESTRICTION_FAILS"
 EMPTY_Q = "EMPTY_Q"
 FINAL_VERIFY_FAILED = "FINAL_VERIFY_FAILED"
+
+
+def _dfs_walk(tree: Graph, seq: Sequence[int]) -> bool:
+    """Whether seq, listing once each vertex of a tree (the graph's other
+    vertices isolated), is a DFS-ordering of it. The stack holds the
+    current path, popped until its top is adjacent to the next vertex. A
+    popped vertex with an unvisited neighbour z is z's only visited
+    neighbour, then and later (the visited vertices stay connected, so
+    another would close a cycle), so the walk fails when z comes. Trees
+    only: on the 4-cycle a-b-c-d it accepts a b d c. Both callers pass
+    one: T* is a forest with one edge fewer than its vertices (stage 2),
+    and `Tree` validates the assembled tree."""
+    adj = tree._adj
+    stack = [seq[0]]
+    for x in seq[1:]:
+        while x not in adj[stack[-1]]:
+            stack.pop()
+            if not stack:
+                return False
+        stack.append(x)
+    return True
 
 
 def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -245,7 +265,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     if tstar.m != forced_count - 1:
         return RecognitionOutcome(False, reason=reason)
     for seq in rows:
-        if not frontier_check(tstar, [x for x in seq if forced >> x & 1], Paradigm.DFS):
+        if not _dfs_walk(tstar, [x for x in seq if forced >> x & 1]):
             return RecognitionOutcome(False, reason=reason)
 
     parent, depth = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
@@ -257,7 +277,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
 
     tree = assign_parents(tstar, q)
     for seq in rows if q else ():  # with no free vertex, step 3 checked the whole rows
-        if not frontier_check(tree, seq, Paradigm.DFS):
+        if not _dfs_walk(tree, seq):
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
             warnings.warn("assembled tree failed final verification", RuntimeWarning)

@@ -1,7 +1,7 @@
 """Polynomial-time DFS tree-support recognition against frozen fixtures."""
 
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +17,11 @@ from searchorder import (
     RESTRICTION_FAILS,
     TSTAR_NOT_SUPPORT_FULL,
     Tree,
+    Universe,
     brute_force_tree_support,
     build_attachment_digraph,
     certify_by_simulation,
+    enumerate_labeled_trees,
     forced_subtree,
     is_s_ordering,
     recognize_dfs_tree,
@@ -28,7 +30,9 @@ from searchorder import (
 )
 from searchorder import dfs_tree
 from searchorder.core import iter_bits
-from searchorder.dfs_tree import _rooted_at, assign_parents, candidate_sets, purify, q_path
+from searchorder.dfs_tree import (
+    _dfs_walk, _rooted_at, assign_parents, candidate_sets, purify, q_path,
+)
 from searchorder.verifiers import frontier_check
 
 from conftest import planted_profiles, random_profiles, trees
@@ -203,6 +207,43 @@ def test_linear_tree_dfs_check_matches_four_point(tree, data):
     sigma = Ordering(tree.universe, tuple(seq))
     expected, _ = satisfies_property(tree, sigma, Paradigm.DFS)
     assert frontier_check(tree, sigma.seq, Paradigm.DFS) == expected
+    assert _dfs_walk(tree, sigma.seq) == expected
+
+
+def test_dfs_walk_matches_the_engines_on_every_small_tree():
+    # every labelled tree with n <= 5 and every ordering: 15,405 pairs, of
+    # which 1,815 are DFS orderings (per tree, a sum over the roots of the
+    # product of the child counts' factorials)
+    pairs = accepted = 0
+    for n in range(1, 6):
+        for tree in enumerate_labeled_trees("abcde"[:n]):
+            for seq in permutations(range(n)):
+                expected = certify_by_simulation(tree, Ordering(tree.universe, seq), Paradigm.DFS)
+                assert frontier_check(tree, seq, Paradigm.DFS) == expected
+                assert _dfs_walk(tree, seq) == expected, (tree.edges, seq)
+                pairs += 1
+                accepted += expected
+    assert (pairs, accepted) == (15_405, 1_815)
+
+
+def test_dfs_walk_matches_the_engines_on_tstar_shaped_inputs():
+    # T* is a tree on the forced vertices of a larger universe, the others
+    # isolated, walked by each row restricted to the forced vertices
+    universe = Universe("abcdef")
+    accepted = 0
+    for size in range(1, 5):
+        for part in combinations(range(universe.n), size):
+            for small in enumerate_labeled_trees(universe.names[i] for i in part):
+                tstar = Graph.from_pairs(universe, [(part[u], part[v]) for u, v in small.edges])
+                for order in permutations(range(size)):
+                    seq = [part[i] for i in order]
+                    expected = certify_by_simulation(
+                        small, Ordering(small.universe, order), Paradigm.DFS)
+                    assert frontier_check(tstar, seq, Paradigm.DFS) == expected
+                    assert _dfs_walk(tstar, seq) == expected, (tstar.edges, seq)
+                    accepted += expected
+    # per part of 1, 2, 3 and 4 vertices: 1, 2, 12 and 120 DFS orderings
+    assert accepted == 6 * 1 + 15 * 2 + 20 * 12 + 15 * 120
 
 
 def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
@@ -223,15 +264,15 @@ def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
     # d and e are free: each row is checked restricted, then whole
     (YES_PATH, 2),
 ])
-def test_frontier_checks_per_row_of_a_yes(monkeypatch, profile, checks_per_row):
+def test_dfs_walks_per_row_of_a_yes(monkeypatch, profile, checks_per_row):
     assert bool(build_attachment_digraph(profile).free) == (checks_per_row == 2)
     calls = []
 
-    def counting(graph, seq, paradigm):
+    def counting(tree, seq):
         calls.append(seq)
-        return frontier_check(graph, seq, paradigm)
+        return _dfs_walk(tree, seq)
 
-    monkeypatch.setattr(dfs_tree, "frontier_check", counting)
+    monkeypatch.setattr(dfs_tree, "_dfs_walk", counting)
     assert recognize_dfs_tree(profile).is_yes
     assert len(calls) == checks_per_row * len(profile)
 

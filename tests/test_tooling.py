@@ -177,6 +177,12 @@ def test_oracles_stay_independent_of_the_recognizers():
     assert not reached & {"verifiers", "attachment", "dfs_tree", "reductions", "__init__"}
 
 
+def test_the_dfs_recognizer_shares_no_engine_with_its_checkers():
+    # dfs_tree checks its rows with its own walk, so verifiers, which the
+    # tests and the benchmark use to replay its witnesses, stays independent
+    assert _package_imports("dfs_tree") == {"attachment", "core"}
+
+
 def test_the_label_engine_imports_only_core():
     # traversals stays at the bottom of the module graph, under every
     # module that replays labels
