@@ -13,17 +13,18 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    vertex, so T* is a forest, and a tree iff it has one edge fewer
    than the forced vertices. All-forced profiles take the same path.
 3. Every ordering restricted to the forced set must be a DFS-ordering
-   of T* (`_dfs_walk`, a stack walk, exact as T* is a tree: O(k n)),
-   and each free vertex v gets a candidate set Q(v): for each ordering,
-   the T*-path from v's *guider* (nearest preceding forced vertex) to
-   the next forced vertex x, less x, or to the ordering's first vertex
-   when no forced vertex follows, intersected over all orderings. One
-   sweep per ordering cuts it into runs, maximal stretches of free
-   vertices that share guider and path; each run walks its path once,
-   by parent and depth in T* rooted once per call, and keeps the masks
-   of the path's prefixes. An ordering's paths are disjoint stretches
-   of the DFS walk of T*, which crosses each edge twice: O(k n) steps
-   in all. Runs stay the unit to the end.
+   of T*, and each free vertex v gets a candidate set Q(v): for each
+   ordering, the T*-path from v's *guider* (nearest preceding forced
+   vertex) to the next forced vertex x, less x, or to the ordering's
+   first vertex when no forced vertex follows, intersected over all
+   orderings. One stack walk per ordering (`q_path`, exact as T* is a
+   tree) does both. Its stack is the T*-path from the ordering's first
+   vertex to the last forced vertex seen, and it cuts the ordering into
+   runs, maximal stretches of free vertices that share guider and path.
+   A run reads its path off the stack, as what the next forced vertex
+   pops plus the vertex left on top, and keeps the masks of the path's
+   prefixes. Each forced vertex is pushed and popped at most once per
+   ordering: O(k n) steps in all. Runs stay the unit to the end.
 4. Candidate sets, as bitmasks, are narrowed pairwise (purification)
    to a fixed point; an empty set means no support exists, so
    purification runs only when every set is non-empty (removals never
@@ -40,9 +41,9 @@ cost of each stage for n vertices, k orderings and T* of diameter h:
    that narrow, O(n h) in all, and at most 3 on every profile measured.
 5. Each free vertex is attached as a leaf to its lowest-index
    remaining candidate: O(n). A final verification of the assembled
-   tree (the same walk, exact as `Tree` validates it: O(k n)) is
-   defensive, never expected to fail, and skipped when no vertex is
-   free: the tree is T*.
+   tree (the same walk with every vertex forced, exact as `Tree`
+   validates it: O(k n)) is defensive, never expected to fail, and
+   skipped when no vertex is free: the tree is T*.
 
 Free vertices are always leaves of the constructed tree.
 """
@@ -69,102 +70,68 @@ EMPTY_Q = "EMPTY_Q"
 FINAL_VERIFY_FAILED = "FINAL_VERIFY_FAILED"
 
 
-def _dfs_walk(tree: Graph, seq: Sequence[int]) -> bool:
-    """Whether seq, listing once each vertex of a tree (the graph's other
-    vertices isolated), is a DFS-ordering of it. The stack holds the
-    current path, popped until its top is adjacent to the next vertex. A
-    popped vertex with an unvisited neighbour z is z's only visited
-    neighbour, then and later (the visited vertices stay connected, so
-    another would close a cycle), so the walk fails when z comes. Trees
-    only: on the 4-cycle a-b-c-d it accepts a b d c. Both callers pass
-    one: T* is a forest with one edge fewer than its vertices (stage 2),
-    and `Tree` validates the assembled tree."""
-    adj = tree._adj
-    stack = [seq[0]]
-    for x in seq[1:]:
-        while x not in adj[stack[-1]]:
-            stack.pop()
-            if not stack:
-                return False
-        stack.append(x)
-    return True
-
-
-def _rooted_at(tstar: Graph, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Parent and depth maps of root's component, rooted at root (the
-    root is its own parent); depths are distances from root."""
-    adj = tstar._adj
-    parent = {root: root}
-    depth = {root: 0}
-    order = [root]
-    for u in order:
-        d = depth[u] + 1
-        for w in adj[u]:
-            if w not in depth:
-                parent[w] = u
-                depth[w] = d
-                order.append(w)
-    return parent, depth
-
-
-def _path_prefixes(parent: dict[int, int], depth: dict[int, int], w: int, x: int) -> list[int]:
-    """prefixes[d]: the mask of the first d + 1 vertices of the tree
-    path from w to x."""
-    up, down = [w], [x]
-    while w != x:  # climb from the deeper end; both lists end at the meeting vertex
-        if depth[w] >= depth[x]:
-            w = parent[w]
-            up.append(w)
-        else:
-            x = parent[x]
-            down.append(x)
-    return [*accumulate([1 << v for v in up + down[-2::-1]], or_)]
-
-
 def q_path(
-    seq: Sequence[int], forced: int, parent: dict[int, int], depth: dict[int, int]
-) -> list[tuple[list[int], list[int]]]:
-    """One ordering's Q-path contributions, one per run of free vertices.
+    tree: Graph, seq: Sequence[int], forced: int
+) -> list[tuple[list[int], list[int]]] | None:
+    """One ordering's Q-path contributions, one per run of free vertices,
+    or None when the ordering restricted to the forced vertices is not a
+    DFS-ordering of the tree (the graph's other vertices isolated).
 
-    `parent` and `depth` describe T* under any rooting; the ordering's
-    first vertex is forced, and the ordering restricted to the forced
-    vertices is a DFS-ordering of T*. A run's guider is the forced
-    vertex just before it. Its Q-path runs from the guider to the
-    forced vertex x just after the run, less x, or to the ordering's
-    first vertex when no forced vertex follows. (x's parent in the DFS
-    from the first vertex is on the stack when x is visited, so it is an
-    ancestor of the guider there, and it is x's neighbour on this path.)
+    The stack holds the tree path from the first vertex, forced, to the
+    last forced vertex seen; each forced x pops it until its top is
+    adjacent to x. A popped vertex with an unvisited neighbour z is z's
+    only visited neighbour, then and later (the visited vertices stay
+    connected, so another would close a cycle), so the walk fails when z
+    comes. Trees only: on the 4-cycle a-b-c-d it accepts a b d c. Both
+    callers pass one: T* is a forest with one edge fewer than its
+    vertices (stage 2), and `Tree` validates the assembled tree.
+
+    A run's guider is the forced vertex just before it, the stack's top.
+    Its Q-path runs from there to the forced vertex x just after the run,
+    less x: the vertices x pops, then x's neighbour left on top; or down
+    the whole stack to the first vertex when no forced vertex follows.
     Returns [(prefixes, the run's vertices), ...] in the ordering's
     order, where prefixes[d] is the mask of the path's first d + 1
     vertices from the guider.
     """
+    adj = tree._adj
     runs: list[tuple[list[int], list[int]]] = []
-    guider = -1
     run: list[int] = []  # free vertices since the guider, next forced one unseen
-    for x in (*seq, -1):  # -1 ends the ordering: no forced vertex follows
-        if x >= 0 and not forced >> x & 1:
+    stack = [seq[0]]
+    for x in seq[1:]:
+        if not forced >> x & 1:
             run.append(x)
             continue
+        top = len(stack) - 1
+        while x not in adj[stack[top]]:
+            top -= 1
+            if top < 0:
+                return None
         if run:
-            prefixes = _path_prefixes(parent, depth, guider, x if x >= 0 else seq[0])
-            runs.append((prefixes[:-1] if x >= 0 else prefixes, run))
+            runs.append(([*accumulate([1 << v for v in reversed(stack[top:])], or_)], run))
             run = []
-        guider = x
+        del stack[top + 1:]
+        stack.append(x)
+    if run:
+        runs.append(([*accumulate([1 << v for v in reversed(stack)], or_)], run))
     return runs
 
 
 def candidate_sets(
-    rows: Sequence[Sequence[int]], forced: int, parent: dict[int, int], depth: dict[int, int]
-) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]]:
+    tstar: Graph, rows: Sequence[Sequence[int]], forced: int
+) -> tuple[dict[int, int], list[tuple[list[int], list[int]]]] | None:
     """Q(v) for every free vertex v, as the intersection of its Q-paths
     over the orderings, plus the groups for `purify`: the (prefixes,
     members) of every run of two or more free vertices, ordering by
-    ordering. `parent` and `depth` describe T* under one rooting, shared
-    by all orderings."""
+    ordering. None at the first ordering whose restriction to the forced
+    vertices T* does not walk."""
     q: dict[int, int] = {}
     groups: list[tuple[list[int], list[int]]] = []
     for seq in rows:
-        for prefixes, members in q_path(seq, forced, parent, depth):
+        runs = q_path(tstar, seq, forced)
+        if runs is None:
+            return None
+        for prefixes, members in runs:
             path = prefixes[-1]
             for v in members:
                 q[v] = q.get(v, path) & path
@@ -262,22 +229,18 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     # most one per forced vertex), so T* must be a tree walked by every row
     # restricted to the forced vertices: all of each row when all are forced.
     reason = TSTAR_NOT_SUPPORT_FULL if forced_count == profile.universe.n else RESTRICTION_FAILS
-    if tstar.m != forced_count - 1:
+    found = candidate_sets(tstar, rows, forced) if tstar.m == forced_count - 1 else None
+    if found is None:
         return RecognitionOutcome(False, reason=reason)
-    for seq in rows:
-        if not _dfs_walk(tstar, [x for x in seq if forced >> x & 1]):
-            return RecognitionOutcome(False, reason=reason)
-
-    parent, depth = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
-    q, groups = candidate_sets(rows, forced, parent, depth)
+    q, groups = found
     if all(q.values()):  # an empty set stays empty: purify cannot save it
         q = purify(q, groups)
     if not all(q.values()):
         return RecognitionOutcome(False, reason=EMPTY_Q)
 
     tree = assign_parents(tstar, q)
-    for seq in rows if q else ():  # with no free vertex, step 3 checked the whole rows
-        if not _dfs_walk(tree, seq):
+    for seq in rows if q else ():  # with no free vertex, step 3 walked the whole rows
+        if q_path(tree, seq, -1) is None:  # -1: every vertex forced, so no runs
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream
             warnings.warn("assembled tree failed final verification", RuntimeWarning)

@@ -30,9 +30,7 @@ from searchorder import (
 )
 from searchorder import dfs_tree
 from searchorder.core import iter_bits
-from searchorder.dfs_tree import (
-    _dfs_walk, _rooted_at, assign_parents, candidate_sets, purify, q_path,
-)
+from searchorder.dfs_tree import assign_parents, candidate_sets, purify, q_path
 from searchorder.verifiers import frontier_check
 
 from conftest import planted_profiles, random_profiles, trees
@@ -58,6 +56,10 @@ RESTRICTION_BAD = Profile.build(
 FOREST_TSTAR = Profile.build(
     "abcd", [("a", "b", "c", "d"), ("a", "c", "b", "d"), ("b", "c", "a", "d")]
 )
+# rows 1-2 already empty a candidate set before row 3 fails the walk of T*
+WALK_FAILS_AFTER_EMPTY_Q = Profile.build(
+    "abcdefgh", [tuple("cfgeadbh"), tuple("ebfchadg"), tuple("fehgcabd")]
+)
 
 FIXTURES = [
     (YES_PATH, True, None),
@@ -68,6 +70,7 @@ FIXTURES = [
     (FULL_TSTAR_FAILS, False, TSTAR_NOT_SUPPORT_FULL),
     (RESTRICTION_BAD, False, RESTRICTION_FAILS),
     (FOREST_TSTAR, False, RESTRICTION_FAILS),
+    (WALK_FAILS_AFTER_EMPTY_Q, False, RESTRICTION_FAILS),
 ]
 
 
@@ -106,9 +109,8 @@ def stage_values(profile):
 
     rows = [s.seq for s in profile]
     forced = dg.forced_mask
-    rooted = _rooted_at(tstar, (forced & -forced).bit_length() - 1)
-    runs = [q_path(seq, forced, *rooted) for seq in rows]
-    q, groups = candidate_sets(rows, forced, *rooted)
+    runs = [q_path(tstar, seq, forced) for seq in rows]
+    q, groups = candidate_sets(tstar, rows, forced)
     cleaned = purify(q, groups)
     return {
         "tstar": tstar,
@@ -162,6 +164,19 @@ def test_forest_fixture_really_has_a_forest_of_forced_vertices():
     assert forced_subtree(dg).m < len(dg.forced) - 1
 
 
+def test_a_row_that_fails_the_walk_outranks_an_emptied_candidate_set():
+    profile = WALK_FAILS_AFTER_EMPTY_Q
+    dg = build_attachment_digraph(profile)
+    tstar, forced = forced_subtree(dg), dg.forced_mask
+    rows = [s.seq for s in profile]
+    q, _groups = candidate_sets(tstar, rows[:2], forced)
+    assert not all(q.values())
+    assert [q_path(tstar, seq, forced) is None for seq in rows] == [False, False, True]
+    assert candidate_sets(tstar, rows, forced) is None
+    assert recognize_dfs_tree(profile).reason == RESTRICTION_FAILS
+    assert recognize_gs_tree(profile).is_yes
+
+
 def test_recognizer_against_oracle_seeded():
     final_verify_hits = 0
     for profile in random_profiles(2718, 300):
@@ -200,6 +215,14 @@ def test_planted_profiles_at_n200(k):
             assert certify_by_simulation(out.tree, sigma, paradigm)
 
 
+def walks(tree, seq):
+    """q_path as a DFS-ordering check: with every vertex forced (-1) it
+    finds no run, so it returns [] or None."""
+    walked = q_path(tree, seq, -1)
+    assert walked in ([], None)
+    return walked is not None
+
+
 @given(trees(max_n=7), st.data())
 @settings(max_examples=300, deadline=None)
 def test_linear_tree_dfs_check_matches_four_point(tree, data):
@@ -207,7 +230,7 @@ def test_linear_tree_dfs_check_matches_four_point(tree, data):
     sigma = Ordering(tree.universe, tuple(seq))
     expected, _ = satisfies_property(tree, sigma, Paradigm.DFS)
     assert frontier_check(tree, sigma.seq, Paradigm.DFS) == expected
-    assert _dfs_walk(tree, sigma.seq) == expected
+    assert walks(tree, sigma.seq) == expected
 
 
 def test_dfs_walk_matches_the_engines_on_every_small_tree():
@@ -220,7 +243,7 @@ def test_dfs_walk_matches_the_engines_on_every_small_tree():
             for seq in permutations(range(n)):
                 expected = certify_by_simulation(tree, Ordering(tree.universe, seq), Paradigm.DFS)
                 assert frontier_check(tree, seq, Paradigm.DFS) == expected
-                assert _dfs_walk(tree, seq) == expected, (tree.edges, seq)
+                assert walks(tree, seq) == expected, (tree.edges, seq)
                 pairs += 1
                 accepted += expected
     assert (pairs, accepted) == (15_405, 1_815)
@@ -240,7 +263,7 @@ def test_dfs_walk_matches_the_engines_on_tstar_shaped_inputs():
                     expected = certify_by_simulation(
                         small, Ordering(small.universe, order), Paradigm.DFS)
                     assert frontier_check(tstar, seq, Paradigm.DFS) == expected
-                    assert _dfs_walk(tstar, seq) == expected, (tstar.edges, seq)
+                    assert walks(tstar, seq) == expected, (tstar.edges, seq)
                     accepted += expected
     # per part of 1, 2, 3 and 4 vertices: 1, 2, 12 and 120 DFS orderings
     assert accepted == 6 * 1 + 15 * 2 + 20 * 12 + 15 * 120
@@ -261,18 +284,19 @@ def test_a_wrong_assembled_tree_fails_the_final_verification(monkeypatch):
 @pytest.mark.parametrize("profile, checks_per_row", [
     # all forced: T* is the whole tree, checked once against each whole row
     (Profile.build("abcde", [tuple("abcde"), tuple("edcba"), tuple("cbade")]), 1),
-    # d and e are free: each row is checked restricted, then whole
+    # d and e are free: each row is walked on T* for its Q-paths, then whole
+    # on the assembled tree
     (YES_PATH, 2),
 ])
 def test_dfs_walks_per_row_of_a_yes(monkeypatch, profile, checks_per_row):
     assert bool(build_attachment_digraph(profile).free) == (checks_per_row == 2)
     calls = []
 
-    def counting(tree, seq):
+    def counting(tree, seq, forced):
         calls.append(seq)
-        return _dfs_walk(tree, seq)
+        return q_path(tree, seq, forced)
 
-    monkeypatch.setattr(dfs_tree, "_dfs_walk", counting)
+    monkeypatch.setattr(dfs_tree, "q_path", counting)
     assert recognize_dfs_tree(profile).is_yes
     assert len(calls) == checks_per_row * len(profile)
 
@@ -292,16 +316,6 @@ def bfs(adj, root):
     return parent, depth
 
 
-def tree_adjacency(parent):
-    """T* as adjacency sets, rebuilt from a parent map of any rooting."""
-    adj = {v: set() for v in parent}
-    for v, u in parent.items():
-        if u != v:
-            adj[v].add(u)
-            adj[u].add(v)
-    return adj
-
-
 def path_mask(parent, depth, u, w):
     """The vertices of the tree path between u and w, as a mask."""
     mask = 1 << u | 1 << w
@@ -317,12 +331,12 @@ def path_mask(parent, depth, u, w):
     return mask
 
 
-def reference_q_path(seq, forced, parent, depth):
+def reference_q_path(seq, forced, adj):
     """{free vertex: (guider, Q-path mask)}, one path-mask walk per free
-    vertex, in T* rooted afresh at the ordering's first vertex; the path
-    runs from the guider to the parent there of the next forced vertex,
-    or to the root when none follows."""
-    parent0, depth0 = bfs(tree_adjacency(parent), seq[0])
+    vertex, in T* (as adjacency sets) rooted at the ordering's first
+    vertex; the path runs from the guider to the parent there of the next
+    forced vertex, or to the root when none follows."""
+    parent0, depth0 = bfs(adj, seq[0])
     found = {}
     guider = -1
     waiting = []
@@ -414,6 +428,7 @@ def test_stage_names_are_looked_up_at_call_time(monkeypatch):
     calls = record_stages(monkeypatch)
     assert recognize_dfs_tree(SHRINK).is_yes
     assert all(calls[name] for name in STAGES), {k: len(v) for k, v in calls.items()}
+    assert not hasattr(dfs_tree, "_balls")
 
 
 def stage_corpus():
@@ -433,11 +448,17 @@ def test_stages_match_their_references(monkeypatch):
         reasons.append(recognize_dfs_tree(profile).reason)
         purified += [(profile, args) for args in calls["purify"][seen:]]
     monkeypatch.undo()
-    for args in calls["q_path"]:
-        expected = reference_q_path(*args)
-        runs = q_path(*args)
+    failed = 0
+    for tree, seq, forced in calls["q_path"]:
+        runs = q_path(tree, seq, forced)
+        restricted = [x for x in seq if forced >> x & 1]
+        assert (runs is not None) == frontier_check(tree, restricted, Paradigm.DFS)
+        if runs is None:
+            failed += 1
+            continue
+        adj = tree._adj
+        expected = reference_q_path(seq, forced, adj)
         assert sorted(v for _p, vs in runs for v in vs) == sorted(expected)
-        adj = tree_adjacency(args[2])  # args: seq, forced, parent, depth
         for prefixes, vs in runs:
             w = guider_of(prefixes)
             assert prefixes[0] == 1 << w
@@ -464,14 +485,15 @@ def test_stages_match_their_references(monkeypatch):
             not same and any(cleaned[v] != q[v] for v in members)
             for same, (_p, members) in zip(alike, groups)
         )
-    # the corpus reaches both stages often, narrows sets and empties some
-    assert len(calls["q_path"]) > 300 and len(purified) > 100
+    # the corpus reaches both stages often, narrows sets and empties some;
+    # 14 walks fail the restriction to T*
+    assert len(calls["q_path"]) > 300 and len(purified) > 100 and failed > 10
     assert narrowed > 20 and emptied > 5
     # most groups (380 of 542) enter with equal sets and are skipped, and
     # 142 calls search nothing at all; unequal groups still narrow
     assert equal > 300 and unsearched > 100 and narrowing_unequal > 50
     # planted at n = 100: DFS rows are YES; k = 2 GS rows end in EMPTY_Q,
-    # k = 8 GS rows fail the restriction check before any Q-path
+    # k = 8 GS rows fail the walk of T* restricted to the forced vertices
     assert reasons[-4:] == [None, EMPTY_Q, None, RESTRICTION_FAILS]
 
 
@@ -521,13 +543,19 @@ def test_q_paths_hold_their_sets_and_meet_each_forced_vertex_at_its_dfs_parent(m
     monkeypatch.undo()
     assert len(calls["candidate_sets"]) > 300
     for args in calls["candidate_sets"]:
-        q, groups = candidate_sets(*args)
+        found = candidate_sets(*args)
+        if found is None:
+            continue
+        q, groups = found
         for prefixes, members in groups:
             assert all(q[v] & ~prefixes[-1] == 0 for v in members if q[v])
     followed = 0
-    for seq, forced, parent, depth in calls["q_path"]:
-        parent0 = bfs(tree_adjacency(parent), seq[0])[0]
-        runs = iter(q_path(seq, forced, parent, depth))
+    for tree, seq, forced in calls["q_path"]:
+        runs = q_path(tree, seq, forced)
+        if runs is None:
+            continue
+        parent0 = bfs(tree._adj, seq[0])[0]
+        runs = iter(runs)
         for i, x in enumerate(seq[1:], 1):
             if forced >> x & 1 and not forced >> seq[i - 1] & 1:
                 prefixes, _members = next(runs)
@@ -553,24 +581,14 @@ def test_purify_is_skipped_once_a_candidate_set_is_empty(monkeypatch):
             reason = recognize_dfs_tree(profile).reason
         except Reached:
             continue
-        if len(calls["candidate_sets"]) > seen:
-            assert not all(candidate_sets(*calls["candidate_sets"][-1])[0].values())
+        if len(calls["candidate_sets"]) == seen:
+            continue  # answered before stage 3
+        found = candidate_sets(*calls["candidate_sets"][-1])
+        if found is not None:  # None: a row failed the walk of T*
+            assert not all(found[0].values())
             assert reason == EMPTY_Q
             skipped += 1
     assert skipped > 30
-
-
-def test_t_star_is_rooted_once_per_call(monkeypatch):
-    calls = record_stages(monkeypatch, ("_rooted_at", "candidate_sets"))
-    reached = 0
-    for profile in stage_corpus():
-        rooted, seen = len(calls["_rooted_at"]), len(calls["candidate_sets"])
-        recognize_dfs_tree(profile)
-        if len(calls["candidate_sets"]) > seen:
-            assert len(calls["_rooted_at"]) - rooted == 1
-            reached += 1
-    assert reached > 300
-    assert not hasattr(dfs_tree, "_balls")
 
 
 def test_each_forced_vertex_guides_at_most_one_run_per_ordering(monkeypatch):
@@ -581,9 +599,11 @@ def test_each_forced_vertex_guides_at_most_one_run_per_ordering(monkeypatch):
         recognize_dfs_tree(profile)
     monkeypatch.undo()
     assert len(calls["q_path"]) > 300
-    for seq, forced, parent, depth in calls["q_path"]:
-        assert forced >> seq[0] & 1  # so no run meets the guider -1
-        runs = q_path(seq, forced, parent, depth)
+    for tree, seq, forced in calls["q_path"]:
+        assert forced >> seq[0] & 1  # the stack starts at a forced vertex
+        runs = q_path(tree, seq, forced)
+        if runs is None:
+            continue
         guiders = [guider_of(prefixes) for prefixes, _vs in runs]
         assert all(forced >> w & 1 for w in guiders)
         assert len(set(guiders)) == len(guiders)

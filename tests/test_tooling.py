@@ -2,15 +2,18 @@
 and matches the README's list, importing the package or its CLI loads
 only what it must, no package module imports a name it never uses, no
 private name, public method or unexported function is left without a
-user, every module parses as Python 3.10, and the shared test corpora
-refuse requests they cannot meet."""
+user, every module parses and runs as Python 3.10, and the shared test
+corpora refuse requests they cannot meet."""
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -148,6 +151,65 @@ def test_every_module_parses_as_python_3_10():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
     for path in MODULES:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _python_3_10():
+    """A Python 3.10 interpreter, or None: python3.10 on PATH or, when
+    that is a pyenv shim for another version, the pyenv install that
+    provides it."""
+    found = shutil.which("python3.10")
+    if found is None:
+        return None
+    candidates = [found]
+    if shutil.which("pyenv"):
+        whence = subprocess.run(["pyenv", "whence", "--path", "python3.10"],
+                                capture_output=True, text=True)
+        candidates += whence.stdout.split()
+    for python in candidates:
+        probe = subprocess.run(
+            [python, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"],
+            capture_output=True)
+        if probe.returncode == 0:
+            return python
+    return None
+
+
+_UNDER_3_10 = """
+import contextlib, importlib, io, sys
+for name in MODULES:
+    importlib.import_module(name)
+from searchorder.cli import run
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(["recognize", "--paradigm", "dfs-tree", "--profile", PROFILE])
+print(sys.version_info[:2] == (3, 10), code)
+print(out.getvalue(), end="")
+"""
+
+
+def test_the_package_runs_under_python_3_10(tmp_path):
+    # the parse above misses library calls newer than 3.10; this imports
+    # every module and answers one profile on a real 3.10 interpreter
+    python = _python_3_10()
+    if python is None:
+        pytest.skip("no python3.10 on PATH")
+    from searchorder.cli import run
+
+    profile = tmp_path / "p.txt"
+    profile.write_text("vertices: a b c d e\na b c d e\nc b a d e\n")
+    modules = [f"searchorder.{p.stem}" for p in MODULES if not p.stem.startswith("__")]
+    assert len(modules) == 8
+    done = subprocess.run(
+        [python, "-c", f"MODULES = {modules!r}; PROFILE = {str(profile)!r}" + _UNDER_3_10],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    first, answer = done.stdout.split("\n", 1)
+    assert first == "True 0"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["recognize", "--paradigm", "dfs-tree", "--profile", str(profile)]) == 0
+    assert answer == out.getvalue()
 
 
 def _package_imports(module):
