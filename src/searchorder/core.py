@@ -107,9 +107,6 @@ class Universe(Value):
     def __contains__(self, name: str) -> bool:
         return name in self._index_map
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""

@@ -160,27 +160,21 @@ def enumerate_orderings(
     if graph.n > cap:
         raise CapError(f"enumeration needs n <= {cap}, got n = {graph.n}")
     out: list[Ordering] = []
-    # an explicit stack of (prefix, state, untried candidates, largest
-    # first): a path of a thousand vertices would overflow Python's
-    # recursion limit
-    stack: list[tuple[tuple[int, ...], LabelState, list[int]]] = []
-
-    def settle(prefix: tuple[int, ...], state: LabelState) -> None:
+    # an explicit stack of (prefix, state) nodes, lowest candidate on top:
+    # a path of a thousand vertices would overflow Python's recursion limit
+    stack = [((), LabelState(graph._adj, paradigm))]
+    while stack:
+        prefix, state = stack.pop()
         if len(prefix) == graph.n:
             out.append(Ordering(graph.universe, prefix))
-        else:
-            stack.append((prefix, state, state.candidates()[::-1]))
-
-    settle((), LabelState(graph._adj, paradigm))
-    while stack:
-        prefix, state, untried = stack[-1]
-        v = untried.pop()
-        if untried:
-            state = state.copy()
-        else:  # the last branch takes the state over
-            stack.pop()
-        state.advance(v)
-        settle(prefix + (v,), state)
+            continue
+        lowest, *rest = state.candidates()
+        for v in reversed(rest):
+            child = state.copy()
+            child.advance(v)
+            stack.append((prefix + (v,), child))
+        state.advance(lowest)  # the lowest branch takes the state over
+        stack.append((prefix + (lowest,), state))
     return tuple(out)
 
 

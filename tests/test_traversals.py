@@ -12,9 +12,11 @@ from searchorder import (
     CapError,
     Graph,
     LabelState,
+    Ordering,
     Paradigm,
     Tree,
     Universe,
+    certify_by_simulation,
     complete_prefix,
     enumerate_labeled_trees,
     enumerate_orderings,
@@ -26,7 +28,7 @@ from searchorder import (
 from searchorder.oracles import enumerate_tree_edge_sets
 from searchorder.traversals import _RULES
 
-from conftest import NAMES, all_connected_graphs, graphs, k4
+from conftest import NAMES, all_connected_graphs, all_graphs, graphs, k4
 
 PATH3 = Graph.build("abc", [("a", "b"), ("b", "c")])
 STAR4 = Graph.build("abcd", [("d", "a"), ("d", "b"), ("d", "c")])
@@ -112,6 +114,18 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
         sys.setrecursionlimit(limit)
     assert len(orderings) == 158
     assert orderings[0].names == tuple(names)
+
+
+def test_enumeration_lists_the_replaying_permutations_in_order():
+    # lexicographic index order is the order of itertools.permutations;
+    # disconnected graphs included
+    for g in all_graphs(4):
+        for p in Paradigm:
+            replaying = [
+                seq for seq in itertools.permutations(range(g.n))
+                if certify_by_simulation(g, Ordering(g.universe, seq), p)
+            ]
+            assert [o.seq for o in enumerate_orderings(g, p)] == replaying, (g, p)
 
 
 def test_complete_prefix_keeps_the_prefix():
