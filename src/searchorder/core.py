@@ -241,19 +241,15 @@ class Ordering(Value):
         names = self.universe.names
         return tuple([names[i] for i in self.seq])
 
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
 
 class Profile(Value):
-    """A non-empty collection of orderings over one universe."""
+    """A non-empty collection of orderings over one non-empty universe."""
 
     _fields = ("universe", "orderings")
 
     def __init__(self, universe: Universe, orderings: tuple[Ordering, ...]) -> None:
+        if not universe.n:
+            raise ValueError("need at least one vertex")
         if not orderings:
             raise ValueError("a profile needs at least one ordering")
         for o in orderings:
@@ -346,11 +342,8 @@ def parse_bounded_profile(text: str) -> tuple[Profile, int | None]:
     return Profile(uni, tuple(rows)), k
 
 
-def emit_profile(p: Profile, k: int | None = None, meta: dict[str, str] | None = None) -> str:
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append("vertices: " + " ".join(p.universe.names))
+def emit_profile(p: Profile, k: int | None = None) -> str:
+    lines = ["vertices: " + " ".join(p.universe.names)]
     if k is not None:
         lines.append(f"k: {k}")
     lines.extend(" ".join(o.names) for o in p.orderings)

@@ -157,8 +157,6 @@ def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
     n = profile.universe.n
     if n > TREE_ENUMERATION_CAP:
         raise CapError(f"tree enumeration needs n <= {TREE_ENUMERATION_CAP}, got n = {n}")
-    if n == 0:
-        raise ValueError("need at least one vertex")
     seqs = [o.seq for o in profile.orderings]
     for _code, pairs in sorted(_growing_trees(seqs)):
         adj = neighbour_lists(n, pairs)

@@ -96,7 +96,8 @@ class ReductionInstance(Value):
         }
 
     def emit(self) -> str:
-        return emit_profile(self.profile, k=self.k, meta=self.meta())
+        header = "".join(f"# {key}: {value}\n" for key, value in self.meta().items())
+        return header + emit_profile(self.profile, k=self.k)
 
     @staticmethod
     def parse(text: str) -> "ReductionInstance":
@@ -182,7 +183,7 @@ def _dfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
         rows.append(shared + [V[a], V[b], F[b], "z"] + Z + [F[a]])
         rows.append(shared + [V[b], V[a], F[a], "z"] + Z + [F[b]])
 
-    return universe, edges, rows
+    return Graph.build(universe, edges), rows
 
 
 # --- BFS / LexBFS ---------------------------------------------------------
@@ -195,6 +196,8 @@ def _bfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     names = list(drone.universe.names)
     fgroups = [names[n + i * nsq : n + (i + 1) * nsq] for i in range(n)]
     Z = [f"z{q}" for q in range(1, n * (n + 1) + 1)] if bound == DEG else []
+    # the degree bound's one canonical pendant pair, both orders
+    tails = [[Z[0], *Z[2:], Z[1]], [Z[1], *Z[2:], Z[0]]] if Z else [[]]
     universe = names + ["z"] + Z
     edges = [*drone.edge_names(), *(("z", zq) for zq in Z)]
 
@@ -221,15 +224,9 @@ def _bfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
                         ]
                         + fgroups[t]
                     )
-                    if bound == DEG:
-                        # one canonical pendant pair, both orders
-                        mid = Z[2:]
-                        rows.append(row + [Z[0]] + mid + [Z[1]])
-                        rows.append(row + [Z[1]] + mid + [Z[0]])
-                    else:
-                        rows.append(row)
+                    rows.extend(row + tail for tail in tails)
 
-    return universe, edges, rows
+    return Graph.build(universe, edges), rows
 
 
 # --- LexDFS ----------------------------------------------------------------
@@ -287,7 +284,7 @@ def _lexdfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str)
             )
 
     rows = [list(complete_prefix(gadget, prefix, Paradigm.LEXDFS).names) for prefix in prefixes]
-    return universe, edges, rows
+    return gadget, rows
 
 
 # --- MCS --------------------------------------------------------------------
@@ -365,7 +362,7 @@ def _mcs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
         for lead, last in ((W[x], W[m + x]), (W[m + x], W[x])):
             rows.append([lead, V[j], V[i], "z", last] + shared)
 
-    return universe, edges, rows
+    return Graph.build(universe, edges), rows
 
 
 # --- MNS --------------------------------------------------------------------
@@ -450,7 +447,7 @@ def _mns_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
             rows.append(
                 [Z[i], "z"] + _minus(Z, {Z[i]}) + _minus(U, {"z"}) + T + F + V + W
             )
-    return universe, edges, rows
+    return Graph.build(universe, edges), rows
 
 
 _BUILDERS = {
@@ -472,9 +469,8 @@ def reduce(paradigm: Paradigm, bound: str, source: Graph, kappa: int) -> Reducti
     _check_source(source, kappa, paradigm)
     # every builder names source vertex i as V[i] and edges by index pairs
     V = [f"v{i}" for i in range(1, source.n + 1)]
-    universe, edges, rows = _BUILDERS[paradigm](V, sorted(source.edges), bound)
-    gadget = Graph.build(universe, edges)
-    profile = Profile.build(universe, rows)
+    gadget, rows = _BUILDERS[paradigm](V, sorted(source.edges), bound)
+    profile = Profile.build(gadget.universe.names, rows)
     k = kappa + (gadget.m if bound == EDGE else gadget.degree(ATTACH_VERTEX))
     return ReductionInstance(paradigm, bound, kappa, source, gadget, profile, k)
 

@@ -345,6 +345,8 @@ def test_unknown_vertex_message_is_unquoted(files, capsys):
     (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b\na a\n",
      "self-loop at 'a'"),
     (["generate", "--paradigm", "bfs", "--graph"], "vertices:\n", "empty vertex list"),
+    (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b:c\n",
+     "invalid vertex name 'b:c'"),
 ])
 def test_format_errors_name_the_file(files, capsys, command, text, message):
     path = files("bad.txt", text)

