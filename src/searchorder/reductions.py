@@ -39,9 +39,7 @@ def build_drone(p: int, q: int) -> Graph:
         raise ValueError("drone needs p >= 1 and q >= 0")
     core = [f"v{i}" for i in range(1, p + 1)]
     names = list(core)
-    edges: list[tuple[str, str]] = []
-    for a, b in combinations(core, 2):
-        edges.append((a, b))
+    edges = _clique(core)
     for i, v in enumerate(core, start=1):
         for j in range(1, q + 1):
             leaf = f"f{i}_{j}"
@@ -142,6 +140,8 @@ def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
         if source.degree(v) != 3:
             raise ValueError(f"source graph must be 3-regular; {v!r} has degree {source.degree(v)}")
     n = source.n
+    if paradigm in (Paradigm.BFS, Paradigm.LEXBFS) and n > 6:  # 4m·C(n², 2) rows of ~n³ names
+        raise ValueError("the construction needs n <= 6 source vertices")
     if paradigm is Paradigm.LEXDFS:
         if n < 10:
             raise ValueError("the construction needs n >= 10 source vertices")
@@ -162,6 +162,8 @@ def _dfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     F = [f"f{i}" for i in range(1, n + 1)]
     VF = [x for pair in zip(V, F) for x in pair]
     Z = [f"z{t}" for t in range(1, n + 1)] if bound == DEG else []
+    # the degree bound's rows end in z_t and the rest of Z, one row per t
+    tails = [[zt, *_minus(Z, {zt})] for zt in Z] or [[]]
     universe = VF + ["z"] + Z
     edges = _clique(V) + list(zip(V, F)) + [("z", zt) for zt in Z]
 
@@ -169,14 +171,9 @@ def _dfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     for i, j in combinations(range(n), 2):
         drop = {V[i], F[i], V[j], F[j]}
         rows.append([V[i], V[j], F[j]] + _minus(VF, drop) + ["z"] + Z + [F[i]])
-    if bound == DEG:
-        for i in range(n):
-            rest = _minus(VF, {V[i], F[i]})
-            for t in range(n):
-                rows.append([F[i], V[i]] + rest + ["z", Z[t]] + _minus(Z, {Z[t]}))
-    else:
-        for i in range(n):
-            rows.append([F[i], V[i]] + _minus(VF, {V[i], F[i]}) + ["z"])
+    for i in range(n):
+        head = [F[i], V[i]] + _minus(VF, {V[i], F[i]}) + ["z"]
+        rows.extend(head + tail for tail in tails)
     for a, b in edge_list:
         drop = {V[a], F[a], V[b], F[b]}
         shared = _minus(VF, drop)
@@ -205,25 +202,17 @@ def _bfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     for a, b in edge_list:
         t = min(x for x in range(n) if x not in (a, b))
         others = _minus(V, {V[a], V[b], V[t]})
-        tail_groups = {a, b, t}
+        rest = [f for gi, group in enumerate(fgroups) if gi not in (a, b, t) for f in group]
+        # per lead endpoint: its name, its pendants and the rows' fixed back part
+        sides = [
+            (V[lead], fgroups[lead],
+             [V[trail], *others, V[t], "z", *fgroups[trail], *rest, *fgroups[t]])
+            for lead, trail in ((a, b), (b, a))
+        ]
         for p, q in combinations(range(nsq), 2):
-            for lead, trail in ((a, b), (b, a)):
+            for v, group, back in sides:
                 for r, s in ((p, q), (q, p)):
-                    row = (
-                        [fgroups[lead][r], V[lead]]
-                        + _minus(fgroups[lead], {fgroups[lead][r], fgroups[lead][s]})
-                        + [fgroups[lead][s], V[trail]]
-                        + others
-                        + [V[t], "z"]
-                        + fgroups[trail]
-                        + [
-                            f
-                            for gi, group in enumerate(fgroups)
-                            if gi not in tail_groups
-                            for f in group
-                        ]
-                        + fgroups[t]
-                    )
+                    row = [group[r], v, *_minus(group, {group[r], group[s]}), group[s], *back]
                     rows.extend(row + tail for tail in tails)
 
     return Graph.build(universe, edges), rows
@@ -357,10 +346,9 @@ def _mcs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
             + [f for gi, group in enumerate(fgroups) if gi not in (i, j) for f in group]
             + _minus(V, {V[i], V[j]})
         )
-        for lead, last in ((W[x], W[m + x]), (W[m + x], W[x])):
-            rows.append([lead, V[i], V[j], "z", last] + shared)
-        for lead, last in ((W[x], W[m + x]), (W[m + x], W[x])):
-            rows.append([lead, V[j], V[i], "z", last] + shared)
+        for u, w in ((i, j), (j, i)):
+            for lead, last in ((W[x], W[m + x]), (W[m + x], W[x])):
+                rows.append([lead, V[u], V[w], "z", last] + shared)
 
     return Graph.build(universe, edges), rows
 
@@ -441,12 +429,9 @@ def _mns_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
         rows.append([T[x], V[i], V[j], "z"] + omega + W)
         rows.append([T[x], V[j], V[i], "z"] + omega + W)
 
-    if bound == DEG:
-        rows = [row + Z for row in rows]
-        for i in range(n):
-            rows.append(
-                [Z[i], "z"] + _minus(Z, {Z[i]}) + _minus(U, {"z"}) + T + F + V + W
-            )
+    rows = [row + Z for row in rows]
+    for zi in Z:
+        rows.append([zi, "z"] + _minus(Z, {zi}) + _minus(U, {"z"}) + T + F + V + W)
     return Graph.build(universe, edges), rows
 
 

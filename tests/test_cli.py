@@ -25,6 +25,8 @@ PAIR_PROFILE = "vertices: a b c d\na b c d\nb a c d\n"
 SPLIT_PROFILE = "vertices: a b c d\na b c d\na b d c\nc d a b\n"
 STAR_PROFILE = "vertices: a b c d\nb a c d\nb c a d\nc a b d\n"
 NINE = "vertices: a b c d e f g h i\n"
+PETERSEN = ("vertices: a b c d e f g h i j\n"  # outer cycle a-e, spokes, inner pentagram
+            + "".join(f"{u} {v}\n" for u, v in zip("abcdeabcdefhjgi", "bcdeafghijhjgif")))
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -314,16 +316,19 @@ README_ERRORS = {
         ["solve", "--problem", "deg", "--paradigm", "gs", "--k", "-1", "--profile"], PAIR_PROFILE),
     "error: enumeration needs n <= 8, got n = 9": (
         ["enumerate", "--paradigm", "dfs", "--graph"], NINE),
+    "error: the construction needs n <= 6 source vertices": (
+        ["reduce", "--paradigm", "bfs", "--bound", "edge", "--kappa", "3",
+         "--out", "never-written.profile", "--graph"], PETERSEN),
 }
 
 
 def test_readme_error_examples_are_what_the_cli_prints(files, capsys):
     section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     spans = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", section)]
-    examples = [span for span in spans if span.startswith("error: ") and "<" not in span]
-    assert examples
+    # placeholders such as <file> mark a pattern, not an example; "<=" is text
+    examples = [s for s in spans if s.startswith("error: ") and not re.search(r"<[\w ]+>", s)]
+    assert sorted(examples) == sorted(README_ERRORS)
     for example in examples:
-        assert example in README_ERRORS, example
         argv, text = README_ERRORS[example]
         assert run(argv + [files("input.txt", text)]) == 2, example
         assert capsys.readouterr().err == example + "\n"

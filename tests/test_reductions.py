@@ -21,6 +21,7 @@ from searchorder import (
     satisfies_property,
     validate_forward,
 )
+from searchorder import reductions
 from searchorder.reductions import ATTACH_VERTEX
 
 from conftest import k4, petersen
@@ -165,7 +166,7 @@ def test_validate_rejects_non_covers():
         validate_forward(inst2, ("a", "b", "c"))
 
 
-def test_construction_preconditions():
+def test_construction_preconditions(monkeypatch):
     with pytest.raises(ValueError):
         reduce(Paradigm.DFS, "edge", k4(), 1)
     with pytest.raises(ValueError):
@@ -182,6 +183,16 @@ def test_construction_preconditions():
     path = Graph.build("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(ValueError):
         reduce(Paradigm.LEXDFS, "edge", path, 2)  # needs 3-regular input
+    # BFS writes 4m·C(n², 2) rows of about n³ names: refuse n = 10 before building any
+    monkeypatch.setattr(reductions, "build_drone", lambda p, q: pytest.fail("rows built"))
+    for paradigm, bound in itertools.product((Paradigm.BFS, Paradigm.LEXBFS), ("edge", "deg")):
+        with pytest.raises(ValueError, match="needs n <= 6 source vertices"):
+            reduce(paradigm, bound, petersen(), 3)
+    text = _with_meta(DFS_EDGE_K4, "paradigm", "lexbfs")
+    text = _with_meta(text, "source-vertices", " ".join(petersen().universe.names))
+    text = _with_meta(text, "source-edges", " ".join(map(" ".join, petersen().edge_names())))
+    with pytest.raises(FormatError, match="^instance metadata: the construction needs n <= 6"):
+        ReductionInstance.parse(text)
 
 
 def test_emit_parse_round_trip():

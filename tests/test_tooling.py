@@ -3,8 +3,8 @@ and matches the README's list, importing the package or its CLI loads
 only what it must, no package module imports a name it never uses, no
 private name, public method or unexported function is left without a
 user, the benchmark's tracer finds the names it wraps, every module
-parses and runs as Python 3.10, and the shared test corpora refuse
-requests they cannot meet."""
+parses and runs as Python 3.10, the mutant list still applies, and the
+shared test corpora refuse requests they cannot meet."""
 
 import ast
 import contextlib
@@ -358,6 +358,24 @@ def test_every_traced_name_resolves_to_a_callable():
         if not callable(spans.lookup(owner, attr))
     }
     assert missing <= KNOWN_STALE
+
+
+def test_every_mutant_applies_once_and_names_existing_tests():
+    # tests/mutants.py runs outside Tier-1, so an edit that no longer
+    # applies or a test that was renamed would otherwise go unseen
+    spec = importlib.util.spec_from_file_location("mutants", Path(__file__).with_name("mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    functions = {}
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and (PACKAGE / m.file).read_text().count(m.old) == 1, m.name
+        for node_id in m.tests:
+            path, _, name = node_id.partition("::")
+            if path not in functions:
+                tree = ast.parse((README.parent / path).read_text())
+                functions[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+            assert not name or name.partition("[")[0] in functions[path], node_id
 
 
 def test_random_profiles_refuses_more_rows_than_permutations():
