@@ -18,8 +18,8 @@ _EXPORTS = {
         "Universe", "emit_graph", "emit_profile", "parse_bounded_profile", "parse_graph",
     ),
     "traversals": (
-        "DEFAULT_ENUMERATION_CAP", "LabelState", "Paradigm", "complete_prefix",
-        "enumerate_orderings", "generate_ordering", "is_partial_ordering",
+        "DEFAULT_ENUMERATION_CAP", "Paradigm", "complete_prefix", "enumerate_orderings",
+        "generate_ordering", "is_partial_ordering",
     ),
     "verifiers": ("certify_by_simulation", "is_s_ordering", "satisfies_property"),
     "attachment": (

@@ -32,8 +32,14 @@ order is exactly its lexicographic order, and set inclusion is bitmask
 inclusion; a candidacy test is then one `max`, or for MNS one pass of
 `&` over the larger labels.
 
-`replays` runs indices against these rules, testing each vertex's
-candidacy: the ground truth of `certify_by_simulation` and the oracles.
+One engine runs every search: a plain list of labels and two helpers,
+`_visit`, the only code that applies the rule table, and `_candidates`,
+the one home of the selection rule. `enumerate_orderings` gives each
+branch but the lowest a copy of its parent's list, and the lowest takes
+the list over; `complete_prefix` visits the prefix, then the lowest
+candidate at each step; `replays` runs indices, testing each vertex's
+candidacy inline (a visited vertex never is one): the ground truth of
+`certify_by_simulation` and the oracles.
 `is_partial_ordering` replays a prefix of names: a label search never
 gets stuck, so a prefix of candidates extends to a full ordering.
 """
@@ -76,56 +82,22 @@ _RULES = {
 }
 
 
-class LabelState:
-    """Mutable per-run label store: `labels[v]` is v's label in the int
-    encoding of the module docstring, or -1 once v is visited."""
+def _visit(labels: list[int], adj: Sequence[Iterable[int]], v: int, op, x: int) -> None:
+    """Visit v, which must be unvisited: mark it -1 and fold x into each
+    unvisited neighbour's label by op."""
+    labels[v] = -1
+    for u in adj[v]:
+        if labels[u] >= 0:
+            labels[u] = op(labels[u], x)
 
-    __slots__ = ("paradigm", "rule", "n", "adj", "labels", "step")
 
-    def __init__(self, adj: Sequence[Iterable[int]], paradigm: Paradigm):
-        self.paradigm = paradigm
-        self.rule = _RULES[paradigm]
-        self.n = len(adj)
-        self.adj = adj
-        self.labels = [0] * self.n
-        self.step = 0
-
-    def copy(self) -> "LabelState":
-        dup = object.__new__(LabelState)
-        dup.paradigm = self.paradigm
-        dup.rule = self.rule
-        dup.n = self.n
-        dup.adj = self.adj
-        dup.labels = list(self.labels)
-        dup.step = self.step
-        return dup
-
-    def advance(self, v: int) -> None:
-        """Visit v (must be unvisited) and update unvisited neighbor labels."""
-        labels = self.labels
-        if labels[v] < 0:
-            raise ValueError(f"vertex index {v} already visited")
-        self.step += 1
-        op, x_of = self.rule
-        x = x_of(self.step, self.n)
-        labels[v] = -1
-        for u in self.adj[v]:
-            if labels[u] >= 0:
-                labels[u] = op(labels[u], x)
-
-    def candidates(self) -> list[int]:
-        """All vertices a valid run could visit next, ascending by index."""
-        if self.paradigm is Paradigm.MNS:  # inclusion is only a partial order
-            return [u for u in range(self.n) if self.is_candidate(u)]
-        best = max(self.labels, default=-1)
-        return [u for u, label in enumerate(self.labels) if label == best >= 0]
-
-    def is_candidate(self, v: int) -> bool:
-        """Whether v is unvisited and no unvisited label is strictly greater."""
-        label, labels = self.labels[v], self.labels
-        if self.paradigm is Paradigm.MNS:
-            return label >= 0 and label not in map(label.__and__, filter(label.__lt__, labels))
-        return 0 <= label >= max(labels)
+def _candidates(labels: list[int], mns: bool) -> list[int]:
+    """All vertices a valid run could visit next, ascending by index."""
+    if mns:  # inclusion is only a partial order
+        return [v for v, label in enumerate(labels)
+                if label >= 0 and label not in map(label.__and__, filter(label.__lt__, labels))]
+    best = max(labels, default=-1)
+    return [v for v, label in enumerate(labels) if label == best >= 0]
 
 
 def _resolve(graph: Graph, prefix: Sequence[str]) -> list[int]:
@@ -157,24 +129,28 @@ def enumerate_orderings(
 ) -> tuple[Ordering, ...]:
     """All full orderings the paradigm can produce, in lexicographic
     index order. Branches over every eligible vertex at every step."""
-    if graph.n > cap:
-        raise CapError(f"enumeration needs n <= {cap}, got n = {graph.n}")
+    n, adj, universe = graph.n, graph._adj, graph.universe
+    if n > cap:
+        raise CapError(f"enumeration needs n <= {cap}, got n = {n}")
+    op, x_of = _RULES[paradigm]
+    mns = paradigm is Paradigm.MNS
     out: list[Ordering] = []
-    # an explicit stack of (prefix, state) nodes, lowest candidate on top:
+    # an explicit stack of (prefix, labels) nodes, lowest candidate on top:
     # a path of a thousand vertices would overflow Python's recursion limit
-    stack = [((), LabelState(graph._adj, paradigm))]
+    stack = [((), [0] * n)]
     while stack:
-        prefix, state = stack.pop()
-        if len(prefix) == graph.n:
-            out.append(Ordering(graph.universe, prefix))
+        prefix, labels = stack.pop()
+        if len(prefix) == n:
+            out.append(Ordering(universe, prefix))
             continue
-        lowest, *rest = state.candidates()
+        x = x_of(len(prefix) + 1, n)
+        lowest, *rest = _candidates(labels, mns)
         for v in reversed(rest):
-            child = state.copy()
-            child.advance(v)
+            child = labels[:]
+            _visit(child, adj, v, op, x)
             stack.append((prefix + (v,), child))
-        state.advance(lowest)  # the lowest branch takes the state over
-        stack.append((prefix + (lowest,), state))
+        _visit(labels, adj, lowest, op, x)  # the lowest branch takes the list over
+        stack.append((prefix + (lowest,), labels))
     return tuple(out)
 
 
@@ -187,28 +163,28 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
     is a valid ordering of the paradigm iff the prefix is one, which
     `is_partial_ordering` decides without completing it.
     """
-    seq = _resolve(graph, prefix)
-    state = LabelState(graph._adj, paradigm)
-    for v in seq:
-        state.advance(v)
-    labels = state.labels
-    while len(seq) < graph.n:
-        if paradigm is Paradigm.MNS:  # the largest int is maximal, maybe not first
-            v = state.candidates()[0]
-        else:
-            v = labels.index(max(labels))
-        state.advance(v)
-        seq.append(v)
+    seq, n, adj = _resolve(graph, prefix), graph.n, graph._adj
+    op, x_of = _RULES[paradigm]
+    mns = paradigm is Paradigm.MNS
+    labels = [0] * n
+    for i in range(1, n + 1):
+        if i > len(seq):  # for MNS the largest int is maximal, maybe not first
+            seq.append(_candidates(labels, True)[0] if mns else labels.index(max(labels)))
+        _visit(labels, adj, seq[i - 1], op, x_of(i, n))
     return Ordering(graph.universe, tuple(seq))
 
 
 def replays(adj: Sequence[Iterable[int]], seq: Sequence[int], paradigm: Paradigm) -> bool:
     """Whether each vertex of seq is a candidate when visited, on neighbour lists adj."""
-    state = LabelState(adj, paradigm)
-    for v in seq:
-        if not state.is_candidate(v):
+    op, x_of = _RULES[paradigm]
+    mns, n = paradigm is Paradigm.MNS, len(adj)
+    labels = [0] * n
+    for i, v in enumerate(seq, 1):
+        label = labels[v]  # the test of _candidates, for one vertex
+        if label < 0 or (label in map(label.__and__, filter(label.__lt__, labels)) if mns
+                         else label < max(labels)):
             return False
-        state.advance(v)
+        _visit(labels, adj, v, op, x_of(i, n))
     return True
 
 

@@ -125,19 +125,31 @@ MUTANTS = [
            (TRAVERSALS + "test_enumeration_lists_the_replaying_permutations_in_order",
             DIGEST + "[enumeration]")),
     Mutant("enumeration-advances-before-copying", "traversals.py",
-           "        lowest, *rest = state.candidates()\n"
+           "        lowest, *rest = _candidates(labels, mns)\n"
            "        for v in reversed(rest):\n"
-           "            child = state.copy()\n"
-           "            child.advance(v)\n"
+           "            child = labels[:]\n"
+           "            _visit(child, adj, v, op, x)\n"
            "            stack.append((prefix + (v,), child))\n"
-           "        state.advance(lowest)  # the lowest branch takes the state over\n",
-           "        lowest, *rest = state.candidates()\n"
-           "        state.advance(lowest)\n"
+           "        _visit(labels, adj, lowest, op, x)  # the lowest branch takes the list over\n",
+           "        lowest, *rest = _candidates(labels, mns)\n"
+           "        _visit(labels, adj, lowest, op, x)\n"
            "        for v in reversed(rest):\n"
-           "            child = state.copy()\n"
-           "            child.advance(v)\n"
+           "            child = labels[:]\n"
+           "            _visit(child, adj, v, op, x)\n"
            "            stack.append((prefix + (v,), child))\n",
            (TRAVERSALS + "test_enumeration_lists_the_replaying_permutations_in_order",)),
+    # the label engine
+    Mutant("visit-updates-visited-neighbours", "traversals.py",
+           "        if labels[u] >= 0:\n            labels[u] = op(labels[u], x)\n",
+           "        labels[u] = op(labels[u], x)\n",
+           (TRAVERSALS + "test_candidates_match_labels_recomputed_from_scratch",)),
+    Mutant("replays-accepts-a-visited-vertex", "traversals.py",
+           "        if label < 0 or (label in map(", "        if (label in map(",
+           (TRAVERSALS + "test_replays_refuses_a_repeated_index",)),
+    Mutant("mns-candidacy-by-le", "traversals.py",
+           "if label >= 0 and label not in map(label.__and__, filter(label.__lt__, labels))",
+           "if label >= 0 and label not in map(label.__and__, filter(label.__le__, labels))",
+           (TRAVERSALS + "test_candidates_match_labels_recomputed_from_scratch",)),
     # values and names
     Mutant("names-never-refused", "core.py",
            '        raise FormatError(f"invalid vertex name {name!r}")\n', "        pass\n",

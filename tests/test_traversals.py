@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from searchorder import (
     CapError,
     Graph,
-    LabelState,
     Ordering,
     Paradigm,
     Tree,
@@ -26,7 +25,7 @@ from searchorder import (
 )
 
 from searchorder.oracles import enumerate_tree_edge_sets
-from searchorder.traversals import _RULES
+from searchorder.traversals import _RULES, _candidates, _visit, replays
 
 from conftest import NAMES, all_connected_graphs, all_graphs, graphs, k4
 
@@ -160,11 +159,15 @@ def test_repeated_prefix_vertex_is_named(prefix):
         generate_ordering(PATH3, Paradigm.BFS, start="zz")
 
 
-def test_advance_rejects_a_visited_vertex():
-    state = LabelState(PATH3._adj, Paradigm.BFS)
-    state.advance(0)
-    with pytest.raises(ValueError, match="vertex index 0 already visited"):
-        state.advance(0)
+def test_replays_refuses_a_repeated_index():
+    # a visited vertex is never a candidate, also once every label is -1
+    single = Graph.build("a", [])
+    for paradigm in Paradigm:
+        for g, run in ((single, (0,)), (PATH3, (1, 0, 2))):
+            assert replays(g._adj, run, paradigm), (run, paradigm)
+            for k in range(1, len(run) + 1):
+                for v in run[:k]:
+                    assert not replays(g._adj, (*run[:k], v), paradigm), (run[:k], v, paradigm)
 
 
 def test_partial_ordering_pins():
@@ -220,7 +223,9 @@ def _reference_candidates(g, prefix, paradigm):
 def test_candidates_match_labels_recomputed_from_scratch():
     # every prefix of random permutations, valid runs or not, on connected
     # graphs at n = 5 and n = 7; the greedy completion of each prefix and
-    # the generated ordering take the lowest-index candidate at every step
+    # the generated ordering take the lowest-index candidate at every step;
+    # replays' test of one vertex is reachable only after a valid run, so
+    # it is checked along the generated ordering and each valid prefix
     rng = random.Random(4242)
     corpus = rng.sample(list(all_connected_graphs(5)), 150)
     sample, pairs = random.Random(77), list(itertools.combinations(NAMES[:7], 2))
@@ -233,21 +238,26 @@ def test_candidates_match_labels_recomputed_from_scratch():
         for paradigm in Paradigm:
             seq = generate_ordering(g, paradigm).seq
             for k in range(g.n):
-                assert seq[k] == _reference_candidates(g, seq[:k], paradigm)[0], (
-                    g.edge_names(), seq[:k], paradigm)
+                want = _reference_candidates(g, seq[:k], paradigm)
+                assert seq[k] == want[0], (g.edge_names(), seq[:k], paradigm)
+                assert [v for v in range(g.n) if replays(adj, (*seq[:k], v), paradigm)] == want
         for _ in range(4):
             perm = rng.sample(range(g.n), g.n)
             for paradigm in Paradigm:
-                state = LabelState(adj, paradigm)
+                op, x = _RULES[paradigm]
+                labels, valid = [0] * g.n, True
                 for k in range(g.n + 1):
                     want = _reference_candidates(g, perm[:k], paradigm)
                     where = (g.edge_names(), perm[:k], paradigm)
-                    assert state.candidates() == want, where
-                    assert [v for v in range(g.n) if state.is_candidate(v)] == want, where
+                    assert _candidates(labels, paradigm is Paradigm.MNS) == want, where
+                    if valid:
+                        got = [v for v in range(g.n) if replays(adj, (*perm[:k], v), paradigm)]
+                        assert got == want, where
                     if k < g.n:
                         completed = complete_prefix(g, [names[v] for v in perm[:k]], paradigm)
                         assert completed.seq[k] == want[0], where
-                        state.advance(perm[k])
+                        valid = valid and perm[k] in want
+                        _visit(labels, adj, perm[k], op, x(k + 1, g.n))
 
 
 def _encoded(paradigm, steps, n):
