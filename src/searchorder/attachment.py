@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 
-from .core import CapError, Graph, Profile, Tree, Universe, Value, iter_bits
+from .core import CapError, Graph, Profile, Tree, Value, iter_bits
 
 DISCONNECTED_ATTACHMENT = "DISCONNECTED_ATTACHMENT"
 UNREALIZABLE_ATTACHMENT = "UNREALIZABLE_ATTACHMENT"
@@ -55,9 +55,6 @@ class AttachmentDigraph(Value):
     """out_masks[v] holds v's out-neighbors."""
 
     _fields = ("universe", "out_masks")
-
-    def __init__(self, universe: Universe, out_masks: tuple[int, ...]) -> None:
-        self.__dict__.update(universe=universe, out_masks=out_masks)
 
     @cached_property
     def forced_mask(self) -> int:
@@ -138,7 +135,7 @@ def build_attachment_digraph(profile: Profile) -> AttachmentDigraph:
     """
     uni = profile.universe
     n = uni.n
-    rows = [ordering.seq for ordering in profile.orderings]
+    rows = profile.rows
     out = [-1] * n
     places = []
     for seq in rows:

@@ -3,15 +3,16 @@ orderings, profiles, and trees, plus the text file formats.
 
 All values are immutable: each value type is a `Value`, whose fields
 are set once by its constructor and decide equality, hashing and repr.
-Vertices are referred to by name in every public interface; the dense
-0-based index of a vertex inside its universe is an internal detail
-(positions reported to users are 1-based). Two values are equal iff
-they agree on names, name order, and structure.
+Two values are equal iff they agree on names, name order and structure.
+Inside a value a vertex is its 0-based index in the universe. A profile
+holds index rows, each checked once, by `Profile(universe, rows)`,
+`Profile.build` or the parser; iterating it gives `Ordering`s. Only
+values the package built or checked skip checks, via `Value._trusted`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,12 +41,23 @@ def _check_name(name: str) -> str:
 
 
 class Value:
-    """An immutable value. A subclass names its fields in `_fields`, and its
-    `__init__` writes them through `__dict__`, the only way to set them;
-    they decide equality (within one class), hashing and repr. Instances
+    """An immutable value. A subclass names its fields in `_fields`; they
+    decide equality (within one class), hashing and repr, and are written
+    once through `__dict__`: by `Value.__init__`, in order, or by a subclass
+    `__init__` that checks them or fills defaults. `_trusted` skips those
+    checks, for fields the package built or has already checked. Instances
     keep their `__dict__`, so `cached_property` works on them."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    @classmethod
+    def _trusted(cls, *values):
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -221,16 +233,21 @@ class Tree(Graph):
             raise NotATreeError("graph is not a tree")
 
 
+def _check_row(n: int, row: Sequence[int]) -> Sequence[int]:
+    """The row, if it lists each of the indices 0..n-1 once: the one
+    permutation rule, for orderings, profile rows and profile lines."""
+    if len(row) != n or set(row) != set(range(n)):
+        raise ValueError("ordering must list every vertex exactly once")
+    return row
+
+
 class Ordering(Value):
     """A permutation of a universe's vertices, leftmost visited first."""
 
     _fields = ("universe", "seq")
 
     def __init__(self, universe: Universe, seq: tuple[int, ...]) -> None:
-        n = universe.n
-        if len(seq) != n or set(seq) != set(range(n)):
-            raise ValueError("ordering must list every vertex exactly once")
-        self.__dict__.update(universe=universe, seq=seq)
+        self.__dict__.update(universe=universe, seq=_check_row(universe.n, seq))
 
     @classmethod
     def from_names(cls, universe: Universe, names: Sequence[str]) -> Ordering:
@@ -243,30 +260,30 @@ class Ordering(Value):
 
 
 class Profile(Value):
-    """A non-empty collection of orderings over one non-empty universe."""
+    """A non-empty tuple of index rows over one non-empty universe, each
+    checked once to be a permutation; iterating gives them as `Ordering`s."""
 
-    _fields = ("universe", "orderings")
+    _fields = ("universe", "rows")
 
-    def __init__(self, universe: Universe, orderings: tuple[Ordering, ...]) -> None:
+    def __init__(self, universe: Universe, rows: tuple[tuple[int, ...], ...]) -> None:
         if not universe.n:
             raise ValueError("need at least one vertex")
-        if not orderings:
+        if not rows:
             raise ValueError("a profile needs at least one ordering")
-        for o in orderings:
-            if o.universe != universe:
-                raise ValueError("ordering universe mismatch")
-        self.__dict__.update(universe=universe, orderings=orderings)
+        for row in rows:
+            _check_row(universe.n, row)
+        self.__dict__.update(universe=universe, rows=rows)
 
     @classmethod
     def build(cls, names: Iterable[str], rows: Iterable[Sequence[str]]) -> Profile:
         uni = Universe(names)
-        return cls(uni, tuple(Ordering.from_names(uni, row) for row in rows))
+        return cls(uni, tuple(map(uni.indices, rows)))
 
     def __len__(self) -> int:
-        return len(self.orderings)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Ordering]:
-        return iter(self.orderings)
+        return map(partial(Ordering._trusted, self.universe), self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +353,16 @@ def parse_bounded_profile(text: str) -> tuple[Profile, int | None]:
     rows = []
     for line in rest:
         try:
-            rows.append(Ordering.from_names(uni, line.split()))
+            rows.append(_check_row(uni.n, uni.indices(line.split())))
         except (KeyError, ValueError):  # unknown, missing or repeated vertex
             raise FormatError(f"line is not a permutation of the universe: {line!r}") from None
-    return Profile(uni, tuple(rows)), k
+    return Profile._trusted(uni, tuple(rows)), k
 
 
 def emit_profile(p: Profile, k: int | None = None) -> str:
     lines = ["vertices: " + " ".join(p.universe.names)]
     if k is not None:
         lines.append(f"k: {k}")
-    lines.extend(" ".join(o.names) for o in p.orderings)
+    names = p.universe.names
+    lines.extend(" ".join([names[i] for i in row]) for row in p.rows)
     return "\n".join(lines) + "\n"

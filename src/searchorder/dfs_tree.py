@@ -224,12 +224,11 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
     forced = digraph.forced_mask
     forced_count = forced.bit_count()
     tstar = forced_subtree(digraph)
-    rows = [sigma.seq for sigma in profile.orderings]
     # Any support contains T*, a forest (arcs lead to later peel rounds, at
     # most one per forced vertex), so T* must be a tree walked by every row
     # restricted to the forced vertices: all of each row when all are forced.
     reason = TSTAR_NOT_SUPPORT_FULL if forced_count == profile.universe.n else RESTRICTION_FAILS
-    found = candidate_sets(tstar, rows, forced) if tstar.m == forced_count - 1 else None
+    found = candidate_sets(tstar, profile.rows, forced) if tstar.m == forced_count - 1 else None
     if found is None:
         return RecognitionOutcome(False, reason=reason)
     q, groups = found
@@ -239,7 +238,7 @@ def recognize_dfs_tree(profile: Profile) -> RecognitionOutcome:
         return RecognitionOutcome(False, reason=EMPTY_Q)
 
     tree = assign_parents(tstar, q)
-    for seq in rows if q else ():  # with no free vertex, step 3 walked the whole rows
+    for seq in profile.rows if q else ():  # with no free vertex, step 3 walked the whole rows
         if q_path(tree, seq, -1) is None:  # -1: every vertex forced, so no runs
             # all correctness arguments say this branch is dead; if it
             # ever fires it indicates a defect upstream

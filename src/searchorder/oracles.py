@@ -157,10 +157,9 @@ def _tree_supports(profile: Profile, paradigm: Paradigm) -> Iterator[Tree]:
     n = profile.universe.n
     if n > TREE_ENUMERATION_CAP:
         raise CapError(f"tree enumeration needs n <= {TREE_ENUMERATION_CAP}, got n = {n}")
-    seqs = [o.seq for o in profile.orderings]
-    for _code, pairs in sorted(_growing_trees(seqs)):
+    for _code, pairs in sorted(_growing_trees(profile.rows)):
         adj = neighbour_lists(n, pairs)
-        if all(replays(adj, seq, paradigm) for seq in seqs):
+        if all(replays(adj, seq, paradigm) for seq in profile.rows):
             yield Tree.from_pairs(profile.universe, pairs)
 
 
@@ -201,7 +200,7 @@ def brute_force_graph_support(
         raise CapError(f"graph search needs n <= {limit}, got n = {n}")
     if k < 0:
         raise ValueError("k must be non-negative")
-    seqs = [o.seq for o in profile.orderings]
+    seqs = profile.rows
     all_edges = list(combinations(range(n), 2))
     max_size = len(all_edges) if bound == DEG else min(k, len(all_edges))
     for size in range(max(0, n - 1), max_size + 1):

@@ -69,15 +69,6 @@ def _name_pairs(value: str) -> list[tuple[str, str]]:
 class ReductionInstance(Value):
     _fields = ("paradigm", "bound", "kappa", "source", "gadget", "profile", "k")
 
-    def __init__(
-        self, paradigm: Paradigm, bound: str, kappa: int, source: Graph, gadget: Graph,
-        profile: Profile, k: int,
-    ) -> None:
-        self.__dict__.update(
-            paradigm=paradigm, bound=bound, kappa=kappa, source=source, gadget=gadget,
-            profile=profile, k=k,
-        )
-
     @property
     def family(self) -> str:
         return f"{self.paradigm.value}-{self.bound}"
@@ -455,7 +446,7 @@ def reduce(paradigm: Paradigm, bound: str, source: Graph, kappa: int) -> Reducti
     # every builder names source vertex i as V[i] and edges by index pairs
     V = [f"v{i}" for i in range(1, source.n + 1)]
     gadget, rows = _BUILDERS[paradigm](V, sorted(source.edges), bound)
-    profile = Profile.build(gadget.universe.names, rows)
+    profile = Profile(gadget.universe, tuple(map(gadget.universe.indices, rows)))
     k = kappa + (gadget.m if bound == EDGE else gadget.degree(ATTACH_VERTEX))
     return ReductionInstance(paradigm, bound, kappa, source, gadget, profile, k)
 

@@ -141,7 +141,7 @@ def enumerate_orderings(
     while stack:
         prefix, labels = stack.pop()
         if len(prefix) == n:
-            out.append(Ordering(universe, prefix))
+            out.append(Ordering._trusted(universe, prefix))
             continue
         x = x_of(len(prefix) + 1, n)
         lowest, *rest = _candidates(labels, mns)
@@ -171,7 +171,7 @@ def complete_prefix(graph: Graph, prefix: Sequence[str], paradigm: Paradigm) -> 
         if i > len(seq):  # for MNS the largest int is maximal, maybe not first
             seq.append(_candidates(labels, True)[0] if mns else labels.index(max(labels)))
         _visit(labels, adj, seq[i - 1], op, x_of(i, n))
-    return Ordering(graph.universe, tuple(seq))
+    return Ordering._trusted(graph.universe, tuple(seq))
 
 
 def replays(adj: Sequence[Iterable[int]], seq: Sequence[int], paradigm: Paradigm) -> bool:

@@ -6,9 +6,17 @@ import random
 
 from hypothesis import strategies as st
 
-from searchorder import Graph, Profile, Tree
+from searchorder import Graph, Ordering, Profile, Tree
 
 NAMES = "abcdefgh"
+
+
+def assert_as_if_checked(sigma):
+    """sigma, which the package built without the permutation check, is
+    what the checking constructor builds from its universe and sequence."""
+    checked = Ordering(sigma.universe, sigma.seq)
+    assert (sigma, hash(sigma), repr(sigma)) == (checked, hash(checked), repr(checked))
+    assert Ordering.from_names(sigma.universe, sigma.names) == checked
 
 
 def all_graphs(max_n, min_n=1):

@@ -79,7 +79,7 @@ MUTANTS = [
            "                if not q[v]:\n                    return q, groups\n",
            (DFS + "test_a_row_that_fails_the_walk_outranks_an_emptied_candidate_set",)),
     Mutant("final-check-when-all-forced", "dfs_tree.py",
-           "    for seq in rows if q else ():", "    for seq in rows:",
+           "    for seq in profile.rows if q else ():", "    for seq in profile.rows:",
            (DFS + "test_dfs_walks_per_row_of_a_yes",)),
     Mutant("assign-highest-candidate", "dfs_tree.py",
            "(candidates & -candidates).bit_length() - 1", "candidates.bit_length() - 1",
@@ -98,7 +98,8 @@ MUTANTS = [
            (ORACLES + "test_prufer_code_inverts_the_decoder",
             ORACLES + "test_row_rooted_oracles_match_the_exhaustive_reference")),
     Mutant("tree-oracle-reverse-prufer-order", "oracles.py",
-           "sorted(_growing_trees(seqs))", "sorted(_growing_trees(seqs), reverse=True)",
+           "sorted(_growing_trees(profile.rows))",
+           "sorted(_growing_trees(profile.rows), reverse=True)",
            (DIGEST + "[tree_oracle]",)),
     Mutant("walk-drops-growth-test", "oracles.py",
            "                if not masks[u] & before:\n", "                if False:\n",
@@ -158,6 +159,13 @@ MUTANTS = [
            "        if not universe.n:\n", "        if False:\n",
            (CORE + "test_profile_rows_must_be_permutations",
             ORACLES + "test_caps_and_bad_bounds")),
+    Mutant("profile-skips-the-row-check", "core.py",
+           "        for row in rows:\n            _check_row(universe.n, row)\n", "",
+           (CORE + "test_profile_rows_must_be_permutations",)),
+    Mutant("parser-skips-the-line-check", "core.py",
+           "rows.append(_check_row(uni.n, uni.indices(line.split())))",
+           "rows.append(uni.indices(line.split()))",
+           (CORE + "test_parser_names_the_first_bad_line",)),
     Mutant("unused-public-function", "core.py",
            "def _check_name(name: str) -> str:\n",
            "def unused_helper() -> None:\n    pass\n\n\ndef _check_name(name: str) -> str:\n",

@@ -198,7 +198,7 @@ def test_build_memory_does_not_grow_with_the_row_count():
     dfs_rows, _gs_rows = planted_profiles(1717, 2000, 8)
     peaks = []
     for k in (2, 8):
-        profile = Profile(dfs_rows.universe, dfs_rows.orderings[:k])
+        profile = Profile(dfs_rows.universe, dfs_rows.rows[:k])
         tracemalloc.start()
         try:
             build_attachment_digraph(profile)

@@ -352,6 +352,11 @@ def test_unknown_vertex_message_is_unquoted(files, capsys):
     (["generate", "--paradigm", "bfs", "--graph"], "vertices:\n", "empty vertex list"),
     (["generate", "--paradigm", "bfs", "--graph"], "vertices: a b:c\n",
      "invalid vertex name 'b:c'"),
+    # the first bad line is named, whichever of the two ways it is bad
+    (["solve", "--problem", "tree", "--paradigm", "gs", "--profile"], "vertices: a b\na a\na z\n",
+     "line is not a permutation of the universe: 'a a'"),
+    (["solve", "--problem", "tree", "--paradigm", "gs", "--profile"], "vertices: a b\na z\na a\n",
+     "line is not a permutation of the universe: 'a z'"),
 ])
 def test_format_errors_name_the_file(files, capsys, command, text, message):
     path = files("bad.txt", text)

@@ -20,7 +20,7 @@ from searchorder import (
     parse_graph,
 )
 
-from conftest import graphs, profiles
+from conftest import assert_as_if_checked, graphs, profiles
 
 
 def path3():
@@ -178,12 +178,11 @@ def test_profile_rows_must_be_permutations():
     uni = Universe("abc")
     with pytest.raises(ValueError, match="a profile needs at least one ordering"):
         Profile(uni, ())
-    stranger = Ordering.from_names(Universe("abd"), ("a", "b", "d"))
-    with pytest.raises(ValueError, match="ordering universe mismatch"):
-        Profile(uni, (stranger,))
+    with pytest.raises(ValueError, match="every vertex exactly once"):
+        Profile(uni, ((0, 1, 2), (0, 1, 1)))
     empty = Universe(())
     with pytest.raises(ValueError, match="need at least one vertex"):
-        Profile(empty, (Ordering(empty, ()),))
+        Profile(empty, ((),))
     with pytest.raises(ValueError, match="need at least one vertex"):
         Profile.build([], [[]])
 
@@ -196,6 +195,8 @@ def test_profile_keeps_duplicate_rows():
 def test_profile_iteration_order():
     p = Profile.build("abc", [("c", "b", "a"), ("a", "b", "c")])
     assert [o.names for o in p] == [("c", "b", "a"), ("a", "b", "c")]
+    for sigma in p:
+        assert_as_if_checked(sigma)
 
 
 # ---------------------------------------------------------------- formats
@@ -242,6 +243,15 @@ def test_parse_profile_rejects_short_rows():
         parse_bounded_profile("vertices: a b\n")
 
 
+@pytest.mark.parametrize("lines", [("a b a", "a z b"), ("a z b", "a b a")])
+def test_parser_names_the_first_bad_line(lines):
+    # a repeated vertex on one line, an unknown one on the other: either
+    # way round, the error names line 1
+    with pytest.raises(FormatError) as info:
+        parse_bounded_profile("vertices: a b c\n" + "\n".join(lines) + "\n")
+    assert str(info.value) == f"line is not a permutation of the universe: {lines[0]!r}"
+
+
 @given(graphs(connected=False))
 @settings(max_examples=150, deadline=None)
 def test_graph_text_round_trip(g):
@@ -257,3 +267,5 @@ def test_profile_text_round_trip(p, k):
     assert kback == k
     assert back.universe.names == p.universe.names
     assert [o.names for o in back] == [o.names for o in p]
+    for sigma in back:
+        assert_as_if_checked(sigma)

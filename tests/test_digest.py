@@ -37,7 +37,7 @@ def _digest(answers):
 
 def _swapped(rng, profile):
     """The profile with, 40 % of the time, one adjacent pair of one row swapped."""
-    rows = [list(o.names) for o in profile.orderings]
+    rows = [list(o.names) for o in profile]
     if rng.random() < 0.4:
         row = rng.choice(rows)
         i = rng.randrange(len(row) - 1)

@@ -131,7 +131,7 @@ def test_perturbed_rows_verify_as_the_four_point_scan_says(paradigm, bound, sour
         (ATTACH_VERTEX, f"v{source.universe.index(v) + 1}") for v in cover)
     rng = random.Random(8)
     answers = set()
-    for sigma in rng.sample(inst.profile.orderings, 100):
+    for sigma in rng.sample(list(inst.profile), 100):
         seq = list(sigma.seq)
         i = rng.randrange(len(seq) - 1)
         seq[i], seq[i + 1] = seq[i + 1], seq[i]

@@ -27,7 +27,7 @@ from searchorder import (
 from searchorder.oracles import enumerate_tree_edge_sets
 from searchorder.traversals import _RULES, _candidates, _visit, replays
 
-from conftest import NAMES, all_connected_graphs, all_graphs, graphs, k4
+from conftest import NAMES, all_connected_graphs, all_graphs, assert_as_if_checked, graphs, k4
 
 PATH3 = Graph.build("abc", [("a", "b"), ("b", "c")])
 STAR4 = Graph.build("abcd", [("d", "a"), ("d", "b"), ("d", "c")])
@@ -131,7 +131,10 @@ def test_enumeration_lists_the_replaying_permutations_in_order():
                 seq for seq in itertools.permutations(range(g.n))
                 if certify_by_simulation(g, Ordering(g.universe, seq), p)
             ]
-            assert [o.seq for o in enumerate_orderings(g, p)] == replaying, (g, p)
+            enumerated = enumerate_orderings(g, p)
+            assert [o.seq for o in enumerated] == replaying, (g, p)
+            for sigma in enumerated:
+                assert_as_if_checked(sigma)
 
 
 def test_complete_prefix_keeps_the_prefix():
@@ -236,7 +239,9 @@ def test_candidates_match_labels_recomputed_from_scratch():
     for g in corpus:
         adj, names = g._adj, g.universe.names
         for paradigm in Paradigm:
-            seq = generate_ordering(g, paradigm).seq
+            generated = generate_ordering(g, paradigm)
+            assert_as_if_checked(generated)
+            seq = generated.seq
             for k in range(g.n):
                 want = _reference_candidates(g, seq[:k], paradigm)
                 assert seq[k] == want[0], (g.edge_names(), seq[:k], paradigm)
@@ -255,6 +260,7 @@ def test_candidates_match_labels_recomputed_from_scratch():
                         assert got == want, where
                     if k < g.n:
                         completed = complete_prefix(g, [names[v] for v in perm[:k]], paradigm)
+                        assert_as_if_checked(completed)
                         assert completed.seq[k] == want[0], where
                         valid = valid and perm[k] in want
                         _visit(labels, adj, perm[k], op, x(k + 1, g.n))

@@ -48,7 +48,7 @@ VALUES = [
     (Graph, path3, ("universe", "edges")),
     (Tree, lambda: path3(Tree), ("universe", "edges")),
     (Ordering, lambda: Ordering.from_names(Universe("abc"), "bac"), ("universe", "seq")),
-    (Profile, lambda: Profile.build("abc", ["abc", "bac"]), ("universe", "orderings")),
+    (Profile, lambda: Profile.build("abc", ["abc", "bac"]), ("universe", "rows")),
     (
         RecognitionOutcome,
         lambda: RecognitionOutcome(True, path3(Tree)),
@@ -78,6 +78,8 @@ def test_equal_fields_give_equal_values_and_hashes(cls, make, fields):
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != object() and a.__eq__(object()) is NotImplemented
+    trusted = cls._trusted(*a._values())  # the same fields, unchecked
+    assert (trusted, hash(trusted), repr(trusted)) == (a, hash(a), repr(a))
 
 
 @pytest.mark.parametrize("cls, make, fields", VALUES, ids=IDS)
@@ -122,6 +124,8 @@ def test_constructor_defaults():
     assert RecognitionOutcome(False, reason="X") != RecognitionOutcome(False)
     assert OracleResult(False).witness is None
     assert OracleResult(False) == OracleResult(False, None)
+    with pytest.raises(ValueError):  # Value.__init__ takes every field, in order
+        AttachmentDigraph(Universe("ab"))
 
 
 def test_cached_attributes_are_computed_once_and_ignored_by_equality():

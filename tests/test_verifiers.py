@@ -11,12 +11,14 @@ from searchorder import (
     Graph,
     Ordering,
     Paradigm,
+    Universe,
     certify_by_simulation,
     enumerate_orderings,
     generate_ordering,
     is_s_ordering,
     satisfies_property,
 )
+from searchorder.traversals import replays
 from searchorder.verifiers import frontier_check
 
 from conftest import all_graphs, graphs
@@ -115,6 +117,31 @@ def test_exhaustive_agreement_on_the_paw():
             assert is_s_ordering(PAW, sigma, paradigm) == certify_by_simulation(
                 PAW, sigma, paradigm
             )
+
+
+def test_frontier_check_agrees_with_replays_at_n_1000():
+    # the two engines share no code; on random connected graphs with
+    # cycles, relabelled so that index order is not tree order, they judge
+    # each generated ordering and three of its adjacent-pair swaps alike
+    rng = random.Random(1000)
+    n, answers = 1000, set()
+    for extra in (300, 3000):
+        pairs = [(i, rng.randrange(i)) for i in range(1, n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+        label = rng.sample(range(n), n)
+        g = Graph.from_pairs(Universe(f"v{i}" for i in range(n)),
+                             [(label[a], label[b]) for a, b in pairs])
+        for paradigm in FRONTIER:
+            seq = generate_ordering(g, paradigm).seq
+            swaps = [list(seq) for _ in range(3)]
+            for swapped in swaps:
+                i = rng.randrange(n - 1)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            for order in [seq, *swaps]:
+                verdict = frontier_check(g, order, paradigm)
+                assert verdict == replays(g._adj, order, paradigm), (extra, paradigm)
+                answers.add(verdict)
+    assert answers == {True, False}
 
 
 def test_mcs_verification_goes_through_simulation():
