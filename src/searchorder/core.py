@@ -233,10 +233,10 @@ class Tree(Graph):
             raise NotATreeError("graph is not a tree")
 
 
-def _check_row(n: int, row: Sequence[int]) -> Sequence[int]:
-    """The row, if it lists each of the indices 0..n-1 once: the one
-    permutation rule, for orderings, profile rows and profile lines."""
-    if len(row) != n or set(row) != set(range(n)):
+def _check_row(full: set[int], row: Sequence[int]) -> Sequence[int]:
+    """The row, if it lists each index of `full`, the set 0..n-1, once: the
+    one permutation rule for orderings, profile rows and profile lines."""
+    if len(row) != len(full) or set(row) != full:
         raise ValueError("ordering must list every vertex exactly once")
     return row
 
@@ -247,7 +247,7 @@ class Ordering(Value):
     _fields = ("universe", "seq")
 
     def __init__(self, universe: Universe, seq: tuple[int, ...]) -> None:
-        self.__dict__.update(universe=universe, seq=_check_row(universe.n, seq))
+        self.__dict__.update(universe=universe, seq=_check_row(set(range(universe.n)), seq))
 
     @classmethod
     def from_names(cls, universe: Universe, names: Sequence[str]) -> Ordering:
@@ -270,8 +270,9 @@ class Profile(Value):
             raise ValueError("need at least one vertex")
         if not rows:
             raise ValueError("a profile needs at least one ordering")
+        full = set(range(universe.n))
         for row in rows:
-            _check_row(universe.n, row)
+            _check_row(full, row)
         self.__dict__.update(universe=universe, rows=rows)
 
     @classmethod
@@ -350,10 +351,10 @@ def parse_bounded_profile(text: str) -> tuple[Profile, int | None]:
     uni, k, rest = _parse_header(_significant_lines(text))
     if not rest:
         raise FormatError("profile has no orderings")
-    rows = []
+    rows, full = [], set(range(uni.n))
     for line in rest:
         try:
-            rows.append(_check_row(uni.n, uni.indices(line.split())))
+            rows.append(_check_row(full, uni.indices(line.split())))
         except (KeyError, ValueError):  # unknown, missing or repeated vertex
             raise FormatError(f"line is not a permutation of the universe: {line!r}") from None
     return Profile._trusted(uni, tuple(rows)), k

@@ -15,6 +15,11 @@ sequences (V, E, F, W, T, U, Z and per-vertex pendant groups) are
 fixed in declaration/index order, and constructions that let us
 "choose" an auxiliary edge always take the lowest-index qualifying
 one, so instances are fully deterministic.
+
+MCS and MNS share two row shapes. Pair rows (`_pair_rows`): for each
+pair a, b of a clique, a, b, the rest of the clique, then a fixed tail.
+Lead rows (`_lead_rows`): for each lead x, then each u of a clique U,
+x, u, the rest of U, a fixed middle, the other leads, then a fixed tail.
 """
 
 from __future__ import annotations
@@ -124,6 +129,20 @@ def _minus(seq: Sequence[str], drop: Iterable[str]) -> list[str]:
 
 def _clique(names: Sequence[str]) -> list[tuple[str, str]]:
     return list(combinations(names, 2))
+
+
+def _pair_rows(clique: list[str], tail: list[str]) -> list[list[str]]:
+    """Per pair a, b of the clique: a, b, the rest of the clique, the tail."""
+    return [[a, b, *_minus(clique, (a, b)), *tail] for a, b in combinations(clique, 2)]
+
+
+def _lead_rows(leads: list[str], pool: list[str], middle: list[str], tail: list[str]):
+    """Per lead x, per u of the pool: x, u, the rest, the middle, the other leads, the tail."""
+    rows = []
+    for x in leads:
+        others = _minus(leads, (x,))
+        rows += ([x, u, *_minus(pool, (u,)), *middle, *others, *tail] for u in pool)
+    return rows
 
 
 def _check_source(source: Graph, kappa: int, paradigm: Paradigm) -> None:
@@ -275,66 +294,49 @@ def _mcs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     W = [f"w{x}" for x in range(1, 2 * m + 1)]
     fgroups = [[f"f{i}_{p}" for p in range(1, n - i + 2)] for i in range(1, n + 1)]
     fall = [f for group in fgroups for f in group]
-    U = [f"u{x}" for x in range(1, 4 * n)] + ["z"]
+    rest_u = [f"u{x}" for x in range(1, 4 * n)]  # U without z
+    U = rest_u + ["z"]
     universe = V + W + fall + U
 
     edges = _clique(V) + _clique(U)
     for x, (i, j) in enumerate(edge_list):
-        edges.extend(
-            [(W[x], V[i]), (W[x], V[j]), (W[m + x], V[i]), (W[m + x], V[j])]
-        )
+        edges += [(w, V[e]) for w in (W[x], W[m + x]) for e in (i, j)]
     for i in range(n):
         edges.extend((V[i], f) for f in fgroups[i])
     edges.extend((u, w) for u in U for w in W)
     edges.extend((u, f) for u in U for f in fall)
 
-    wof = [
-        [w for x, w in enumerate(W) if i in edge_list[x % m]]
-        for i in range(n)
-    ]
+    wof = [[w for x, w in enumerate(W) if i in edge_list[x % m]] for i in range(n)]
 
-    rows: list[list[str]] = []
-    for i, j in combinations(range(n), 2):
-        rows.append(
-            [V[i], V[j]]
-            + _minus(V, {V[i], V[j]})
-            + ["z", W[0], W[m]]
-            + _minus(U, {"z"})
-            + _minus(W, {W[0], W[m]})
-            + fall
-        )
-    for a, b in combinations(range(len(U)), 2):
-        rows.append([U[a], U[b]] + _minus(U, {U[a], U[b]}) + W + fall + V)
-    for w in W:
-        for u in U:
-            rows.append([w, u] + _minus(U, {u}) + _minus(W, {w}) + fall + V)
-    for f in fall:
-        for u in U:
-            rows.append([f, u] + _minus(U, {u}) + _minus(fall, {f}) + W + V)
+    rows = _pair_rows(V, ["z", W[0], W[m], *rest_u, *_minus(W, {W[0], W[m]}), *fall])
+    rows += _pair_rows(U, W + fall + V)
+    rows += _lead_rows(W, U, [], fall + V)
+    rows += _lead_rows(fall, U, [], W + V)
     for i in range(n):
         for f in fgroups[i]:
             # F_i stragglers still count v_i among visited neighbors, so they
             # outrank the off-vertex w's and must come first.
             rows.append(
                 [V[i], f, "z"]
-                + _minus(U, {"z"})
+                + rest_u
                 + wof[i]
                 + _minus(fgroups[i], {f})
                 + _minus(W, wof[i])
-                + [x for gi, group in enumerate(fgroups) if gi != i for x in group]
+                + _minus(fall, fgroups[i])
                 + _minus(V, {V[i]})
             )
     for x, (i, j) in enumerate(edge_list):
-        wij = [w for w in W if w in set(wof[i]) | set(wof[j])]
+        near = {*wof[i], *wof[j]}
+        wij = [w for w in W if w in near]
         # same pivot as above: F_i and F_j sit one visited neighbor above the
         # w's that touch neither endpoint, so they go before W - W[i,j]
         shared = (
-            _minus(U, {"z"})
+            rest_u
             + _minus(wij, {W[x], W[m + x]})
             + fgroups[i]
             + fgroups[j]
             + _minus(W, wij)
-            + [f for gi, group in enumerate(fgroups) if gi not in (i, j) for f in group]
+            + _minus(fall, fgroups[i] + fgroups[j])
             + _minus(V, {V[i], V[j]})
         )
         for u, w in ((i, j), (j, i)):
@@ -352,50 +354,32 @@ def _mns_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     T = [f"t{x}" for x in range(1, m + 1)]
     W = [f"w{x}" for x in range(1, 2 * m + 1)]
     F = [f"f{i}" for i in range(1, n + 1)]
-    U = [f"u{x}" for x in range(1, 3 * n)] + ["z"]
+    rest_u = [f"u{x}" for x in range(1, 3 * n)]  # U without z
+    U = rest_u + ["z"]
     Z = [f"z{i}" for i in range(1, n + 1)] if bound == DEG else []
     universe = V + T + W + F + U + Z
 
     edges = _clique(V) + _clique(U) + list(zip(V, F))
-    for x, (i, j) in enumerate(edge_list):
-        edges.extend(
-            [
-                (V[i], W[x]),
-                (W[x], T[x]),
-                (T[x], W[m + x]),
-                (W[m + x], V[j]),
-                (V[j], T[x]),
-                (T[x], V[i]),
-            ]
-        )
+    for x, (i, j) in enumerate(edge_list):  # triangles v_i w_x t_x and v_j w_{m+x} t_x
+        edges += [(V[i], W[x]), (W[x], T[x]), (T[x], V[i])]
+        edges += [(V[j], W[m + x]), (W[m + x], T[x]), (T[x], V[j])]
     edges.extend((u, t) for u in U for t in T)
     edges.extend((u, f) for u in U if u != "z" for f in F)
     edges.extend(("z", zi) for zi in Z)
 
     tof = [[T[x] for x, e in enumerate(edge_list) if i in e] for i in range(n)]
 
-    rows: list[list[str]] = []
-    for i, j in combinations(range(n), 2):
-        rows.append(
-            [V[i], V[j]] + _minus(V, {V[i], V[j]}) + ["z"] + T + _minus(U, {"z"}) + F + W
-        )
-    for a, b in combinations(range(len(U)), 2):
-        rows.append([U[a], U[b]] + _minus(U, {U[a], U[b]}) + T + F + V + W)
-    for t in T:
-        for u in U:
-            rows.append([t, u] + _minus(U, {u}) + _minus(T, {t}) + F + V + W)
-    for f in F:
-        for u in U:
-            if u == "z":
-                continue
-            rows.append([f, u] + _minus(U, {u, "z"}) + ["z"] + T + _minus(F, {f}) + V + W)
+    rows = _pair_rows(V, ["z", *T, *rest_u, *F, *W])
+    rows += _pair_rows(U, T + F + V + W)
+    rows += _lead_rows(T, U, [], F + V + W)
+    rows += _lead_rows(F, rest_u, ["z", *T], V + W)
     for i in range(n):
         # z must follow the first incident-edge vertex immediately: once one
         # t is visited, z's neighborhood strictly dominates the other t's
         # whenever v_i lies in the cover.
         rows.append(
             [V[i], F[i]]
-            + _minus(U, {"z"})
+            + rest_u
             + [tof[i][0], "z"]
             + tof[i][1:]
             + _minus(T, tof[i])
@@ -404,25 +388,24 @@ def _mns_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
             + W
         )
     for x, (i, j) in enumerate(edge_list):
-        tij = [t for t in T if t in set(tof[i]) | set(tof[j])]
+        near = {*tof[i], *tof[j]}
+        tij = [t for t in T if t in near]
         omega = (
-            _minus(U, {"z"})
+            rest_u
             + _minus(tij, {T[x]})
             + _minus(T, tij)
             + [F[i], F[j]]
             + _minus(F, {F[i], F[j]})
             + _minus(V, {V[i], V[j]})
         )
-        rows.append([W[x], T[x], V[i], V[j], "z"] + omega + _minus(W, {W[x]}))
-        rows.append([W[x], V[i], T[x], V[j], "z"] + omega + _minus(W, {W[x]}))
-        rows.append([W[m + x], T[x], V[j], V[i], "z"] + omega + _minus(W, {W[m + x]}))
-        rows.append([W[m + x], V[j], T[x], V[i], "z"] + omega + _minus(W, {W[m + x]}))
-        rows.append([T[x], V[i], V[j], "z"] + omega + W)
-        rows.append([T[x], V[j], V[i], "z"] + omega + W)
+        for w, a, b in ((W[x], V[i], V[j]), (W[m + x], V[j], V[i])):
+            rest = omega + _minus(W, {w})
+            rows += [[w, T[x], a, b, "z", *rest], [w, a, T[x], b, "z", *rest]]
+        rows += [[T[x], a, b, "z", *omega, *W] for a, b in ((V[i], V[j]), (V[j], V[i]))]
 
     rows = [row + Z for row in rows]
     for zi in Z:
-        rows.append([zi, "z"] + _minus(Z, {zi}) + _minus(U, {"z"}) + T + F + V + W)
+        rows.append([zi, "z"] + _minus(Z, {zi}) + rest_u + T + F + V + W)
     return Graph.build(universe, edges), rows
 
 

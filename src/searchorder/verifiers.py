@@ -40,6 +40,13 @@ _NEEDS_NONNEIGHBOR_OF_C = (Paradigm.LEXBFS, Paradigm.LEXDFS, Paradigm.MNS)
 _FRONTIER = (Paradigm.GS, Paradigm.BFS, Paradigm.DFS)  # what frontier_check decides
 
 
+def _seq_over(graph: Graph, sigma: Ordering) -> tuple[int, ...]:
+    """sigma's index row, if sigma orders the graph's own universe."""
+    if sigma.universe != graph.universe:
+        raise ValueError("ordering must permute the graph's vertex set")
+    return sigma.seq
+
+
 def satisfies_property(
     graph: Graph, sigma: Ordering, paradigm: Paradigm
 ) -> tuple[bool, tuple[str, str, str] | None]:
@@ -53,10 +60,7 @@ def satisfies_property(
     """
     if paradigm is Paradigm.MCS:
         raise ValueError("MCS has no four-point characterization")
-    n = graph.n
-    if sigma.universe != graph.universe:
-        raise ValueError("ordering must permute the graph's vertex set")
-    seq = sigma.seq
+    n, seq = graph.n, _seq_over(graph, sigma)
     pos_of = {v: p for p, v in enumerate(seq)}
     adj = adjacency_masks(n, [(pos_of[u], pos_of[v]) for u, v in graph.edges])
     full = (1 << n) - 1
@@ -121,14 +125,10 @@ def is_s_ordering(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
     `frontier_check` for GS, BFS and DFS, and by simulation for the rest."""
     if paradigm not in _FRONTIER:
         return certify_by_simulation(graph, sigma, paradigm)
-    if sigma.universe != graph.universe:
-        raise ValueError("ordering must permute the graph's vertex set")
-    return frontier_check(graph, sigma.seq, paradigm)
+    return frontier_check(graph, _seq_over(graph, sigma), paradigm)
 
 
 def certify_by_simulation(graph: Graph, sigma: Ordering, paradigm: Paradigm) -> bool:
     """Replay sigma against the label semantics; ground truth for all seven paradigms."""
-    if sigma.universe != graph.universe:
-        raise ValueError("ordering must permute the graph's vertex set")
-    return replays(graph._adj, sigma.seq, paradigm)
+    return replays(graph._adj, _seq_over(graph, sigma), paradigm)
 

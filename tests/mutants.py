@@ -160,10 +160,10 @@ MUTANTS = [
            (CORE + "test_profile_rows_must_be_permutations",
             ORACLES + "test_caps_and_bad_bounds")),
     Mutant("profile-skips-the-row-check", "core.py",
-           "        for row in rows:\n            _check_row(universe.n, row)\n", "",
+           "        for row in rows:\n            _check_row(full, row)\n", "",
            (CORE + "test_profile_rows_must_be_permutations",)),
     Mutant("parser-skips-the-line-check", "core.py",
-           "rows.append(_check_row(uni.n, uni.indices(line.split())))",
+           "rows.append(_check_row(full, uni.indices(line.split())))",
            "rows.append(uni.indices(line.split()))",
            (CORE + "test_parser_names_the_first_bad_line",)),
     Mutant("unused-public-function", "core.py",
@@ -195,14 +195,18 @@ MUTANTS = [
     Mutant("bfs-size-guard-off", "reductions.py",
            "and n > 6:", "and n > 10:",
            ("tests/test_reductions.py::test_construction_preconditions",)),
+    Mutant("pair-rows-lead-with-b", "reductions.py",
+           "[[a, b, *_minus(clique, (a, b)), *tail]", "[[b, a, *_minus(clique, (a, b)), *tail]",
+           (DIGEST + "[reductions]",)),
+    Mutant("lead-rows-others-before-middle", "reductions.py",
+           "*middle, *others, *tail]", "*others, *middle, *tail]",
+           (DIGEST + "[reductions]",)),
     Mutant("mcs-endpoint-order-swapped", "reductions.py",
            "for u, w in ((i, j), (j, i)):", "for u, w in ((j, i), (i, j)):",
            (DIGEST + "[reductions]",)),
     Mutant("mns-rows-swapped", "reductions.py",
-           '        rows.append([T[x], V[i], V[j], "z"] + omega + W)\n'
-           '        rows.append([T[x], V[j], V[i], "z"] + omega + W)\n',
-           '        rows.append([T[x], V[j], V[i], "z"] + omega + W)\n'
-           '        rows.append([T[x], V[i], V[j], "z"] + omega + W)\n',
+           "for a, b in ((V[i], V[j]), (V[j], V[i]))]",
+           "for a, b in ((V[j], V[i]), (V[i], V[j]))]",
            (DIGEST + "[reductions]",)),
     Mutant("mns-degree-rows-reversed", "reductions.py",
            "    for zi in Z:\n", "    for zi in reversed(Z):\n",

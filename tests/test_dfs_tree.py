@@ -148,6 +148,16 @@ def test_shrink_fixture_internals():
     )
 
 
+def test_assign_parents_refuses_an_empty_candidate_set_and_names_the_vertex():
+    # c has a candidate (a), d has none: the error names d, not c
+    tstar = Graph.build("abcd", [("a", "b")])
+    with pytest.raises(ValueError, match="^empty candidate set for 'd'$"):
+        assign_parents(tstar, {2: 0b0001, 3: 0})
+    assert assign_parents(tstar, {2: 0b0011, 3: 0b0010}).edge_names() == (
+        ("a", "b"), ("a", "c"), ("b", "d"),
+    )
+
+
 def test_purification_can_empty_a_candidate_set():
     stages = stage_values(EMPTY_BY_PURIFICATION)
     assert sorted(stages["tstar"].edge_names()) == [("a", "b"), ("a", "c"), ("c", "d")]
