@@ -33,9 +33,9 @@ EDGE, DEG = "edge", "deg"
 
 
 def _check_name(name: str) -> str:
-    # Names appear as whitespace-separated tokens in files, so they may not
-    # contain whitespace, ':' (reserved for header lines) or '#' (comments).
-    if not name or any(ch.isspace() for ch in name) or ":" in name or "#" in name:
+    # Names appear as whitespace-separated tokens in files, so they may not contain
+    # whitespace (str.isspace, where str.split cuts), ':' (headers) or '#' (comments).
+    if not name or str.split(name) != [name] or ":" in name or "#" in name:
         raise FormatError(f"invalid vertex name {name!r}")
     return name
 
@@ -84,17 +84,15 @@ class Value:
 
 
 class Universe(Value):
-    """An ordered set of vertex names; declaration order fixes indices."""
+    """An ordered set of vertex names; declaration order fixes indices.
+    One name-to-index map serves every lookup, and its size is the duplicate test."""
 
     _fields = ("names",)
 
     def __init__(self, names: Iterable[str]) -> None:
-        names = tuple(names)
-        for name in names:
-            _check_name(name)
-        if len(set(names)) != len(names):
+        self.__dict__["names"] = tuple(map(_check_name, names))
+        if len(self._index_map) != self.n:
             raise FormatError("duplicate vertex names")
-        self.__dict__["names"] = names
 
     @property
     def n(self) -> int:
@@ -102,7 +100,7 @@ class Universe(Value):
 
     @cached_property
     def _index_map(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+        return dict(zip(self.names, range(self.n)))
 
     def index(self, name: str) -> int:
         try:

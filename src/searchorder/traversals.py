@@ -132,6 +132,8 @@ def enumerate_orderings(
     n, adj, universe = graph.n, graph._adj, graph.universe
     if n > cap:
         raise CapError(f"enumeration needs n <= {cap}, got n = {n}")
+    if not n:
+        return (Ordering._trusted(universe, ()),)
     op, x_of = _RULES[paradigm]
     mns = paradigm is Paradigm.MNS
     out: list[Ordering] = []
@@ -140,8 +142,8 @@ def enumerate_orderings(
     stack = [((), [0] * n)]
     while stack:
         prefix, labels = stack.pop()
-        if len(prefix) == n:
-            out.append(Ordering._trusted(universe, prefix))
+        if len(prefix) == n - 1:  # the one unvisited vertex, label >= 0, is a candidate
+            out.append(Ordering._trusted(universe, prefix + (labels.index(max(labels)),)))
             continue
         x = x_of(len(prefix) + 1, n)
         lowest, *rest = _candidates(labels, mns)

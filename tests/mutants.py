@@ -155,6 +155,13 @@ MUTANTS = [
     Mutant("names-never-refused", "core.py",
            '        raise FormatError(f"invalid vertex name {name!r}")\n', "        pass\n",
            (CORE + "test_universe_rejects_names_the_file_formats_cannot_hold",)),
+    Mutant("names-refused-only-for-spaces", "core.py",
+           "str.split(name) != [name]", '" " in name',
+           (CORE + "test_the_name_rule_over_every_code_point",)),
+    Mutant("universe-keeps-duplicate-names", "core.py",
+           '        if len(self._index_map) != self.n:\n'
+           '            raise FormatError("duplicate vertex names")\n', "",
+           (CORE + "test_universe_rejects_duplicate_names",)),
     Mutant("profile-takes-an-empty-universe", "core.py",
            "        if not universe.n:\n", "        if False:\n",
            (CORE + "test_profile_rows_must_be_permutations",
@@ -172,6 +179,10 @@ MUTANTS = [
            (TOOLING
             + "test_every_unexported_public_function_has_a_user_in_the_package_or_perfbench",)),
     # reduction files: every builder's rows and the file header
+    Mutant("forward-validation-ignores-the-edge-bound", "reductions.py",
+           "        if support.m > instance.k:\n", "        if False:\n",
+           ("tests/test_reductions.py::"
+            "test_forward_validation_refuses_a_support_over_the_edge_bound",)),
     Mutant("emit-without-header", "reductions.py",
            "        return header + emit_profile(", "        return emit_profile(",
            (DIGEST + "[reductions]",)),

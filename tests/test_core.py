@@ -1,5 +1,7 @@
 """Core types (universe, graph, tree, ordering, profile) and text formats."""
 
+import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,6 +21,7 @@ from searchorder import (
     parse_bounded_profile,
     parse_graph,
 )
+from searchorder.core import _check_name
 
 from conftest import assert_as_if_checked, graphs, profiles
 
@@ -55,6 +58,31 @@ def test_universe_rejects_duplicate_names():
 @pytest.mark.parametrize("name", ["", "a b", "a:b", "a#b"])
 def test_universe_rejects_names_the_file_formats_cannot_hold(name):
     with pytest.raises(FormatError, match=f"invalid vertex name {name!r}"):
+        Universe(["x", name])
+
+
+def test_the_name_rule_over_every_code_point():
+    # a file splits its lines at exactly the characters for which str.isspace holds
+    refused = set()
+    for c in map(chr, range(sys.maxunicode + 1)):
+        try:
+            _check_name("a" + c + "b")
+        except FormatError:
+            refused.add(c)
+    assert refused == {c for c in map(chr, range(sys.maxunicode + 1))
+                       if c.isspace() or c in ":#"}
+    for name in ["", " ", "\t\n", "\u3000", "a\x85"]:
+        with pytest.raises(FormatError, match=re.escape(f"invalid vertex name {name!r}")):
+            _check_name(name)
+
+
+@pytest.mark.parametrize("name, error", [
+    (None, FormatError), (0, FormatError), ([], FormatError),
+    (5, TypeError), (1.5, TypeError), (["a", "b"], TypeError),
+    (b"ab", TypeError), (("a", "b"), TypeError),
+])
+def test_universe_refuses_names_that_are_not_strings(name, error):
+    with pytest.raises(error):
         Universe(["x", name])
 
 

@@ -155,6 +155,16 @@ def test_lexdfs_degree_bound_overshoots_on_petersen():
     assert not validate_forward(inst, min_vertex_cover(petersen()))
 
 
+def test_forward_validation_refuses_a_support_over_the_edge_bound():
+    # a cover of kappa vertices gives a support of exactly k = kappa + |E(G')|
+    # edges, so the same instance with k one lower must be refused
+    inst = reduce(Paradigm.DFS, "edge", k4(), 3)
+    cover = min_vertex_cover(k4())
+    assert len(cover) == inst.kappa and validate_forward(inst, cover)
+    tight = ReductionInstance(*inst._values()[:-1], inst.k - 1)
+    assert not validate_forward(tight, cover)
+
+
 def test_validate_rejects_non_covers():
     inst = reduce(Paradigm.DFS, "edge", k4(), 3)
     with pytest.raises(ValueError):

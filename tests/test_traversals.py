@@ -99,6 +99,8 @@ def test_the_empty_graph_has_one_empty_ordering():
     for paradigm in Paradigm:
         assert enumerate_orderings(g, paradigm) == (Ordering(g.universe, ()),)
         assert generate_ordering(g, paradigm) == Ordering(g.universe, ())
+        one = Graph.build("a")  # and one vertex, one ordering
+        assert enumerate_orderings(one, paradigm) == (Ordering(one.universe, (0,)),)
 
 
 def test_enumeration_cap():
