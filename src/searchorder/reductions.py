@@ -20,6 +20,9 @@ MCS and MNS share two row shapes. Pair rows (`_pair_rows`): for each
 pair a, b of a clique, a, b, the rest of the clique, then a fixed tail.
 Lead rows (`_lead_rows`): for each lead x, then each u of a clique U,
 x, u, the rest of U, a fixed middle, the other leads, then a fixed tail.
+DFS builds each row around `rest`: V∪F without some source vertices and
+their leaves. Each LexDFS prefix ends in a `closing`: the rest of V,
+then some named V's, U[p], T[p] and z.
 """
 
 from __future__ import annotations
@@ -177,18 +180,15 @@ def _dfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str):
     universe = VF + ["z"] + Z
     edges = _clique(V) + list(zip(V, F)) + [("z", zt) for zt in Z]
 
-    rows: list[list[str]] = []
-    for i, j in combinations(range(n), 2):
-        drop = {V[i], F[i], V[j], F[j]}
-        rows.append([V[i], V[j], F[j]] + _minus(VF, drop) + ["z"] + Z + [F[i]])
+    def rest(*hs: int) -> list[str]:
+        """V∪F without the source vertices hs and their leaves."""
+        return _minus(VF, [x for h in hs for x in (V[h], F[h])])
+
+    rows = [[V[i], V[j], F[j], *rest(i, j), "z", *Z, F[i]] for i, j in combinations(range(n), 2)]
     for i in range(n):
-        head = [F[i], V[i]] + _minus(VF, {V[i], F[i]}) + ["z"]
-        rows.extend(head + tail for tail in tails)
+        rows += ([F[i], V[i], *rest(i), "z", *tail] for tail in tails)
     for a, b in edge_list:
-        drop = {V[a], F[a], V[b], F[b]}
-        shared = _minus(VF, drop)
-        rows.append(shared + [V[a], V[b], F[b], "z"] + Z + [F[a]])
-        rows.append(shared + [V[b], V[a], F[a], "z"] + Z + [F[b]])
+        rows += ([*rest(a, b), V[x], V[y], F[y], "z", *Z, F[x]] for x, y in ((a, b), (b, a)))
 
     return Graph.build(universe, edges), rows
 
@@ -252,35 +252,26 @@ def _lexdfs_instance(V: list[str], edge_list: list[tuple[int, int]], bound: str)
         edges.extend((U[p], v) for v in V)
     gadget = Graph.build(universe, edges)
 
-    def disjoint_edge(banned: set[int]) -> int:
-        for p, (x, y) in enumerate(edge_list):
-            if x not in banned and y not in banned:
-                return p
+    def closing(ends: Sequence[int], p: int, *first: int) -> list[str]:
+        """The rest of V without first and ends, then ends, U[p], T[p] and z."""
+        tail = [V[e] for e in ends]
+        return [*_minus(V, [*(V[f] for f in first), *tail]), *tail, U[p], T[p], "z"]
+
+    def disjoint_closing(i: int, j: int) -> list[str]:
+        """closing(edge, p, i, j) for the lowest edge p that misses v_i and v_j."""
+        for p, edge in enumerate(edge_list):
+            if i not in edge and j not in edge:
+                return closing(edge, p, i, j)
         raise AssertionError("3-regular graph on >= 10 vertices always has one")
 
-    prefixes: list[list[str]] = []
-    for i, j in combinations(range(n), 2):
-        p = disjoint_edge({i, j})
-        x, y = edge_list[p]
-        prefixes.append(
-            [V[i], V[j]] + _minus(V, {V[i], V[j], V[x], V[y]}) + [V[x], V[y], U[p], T[p], "z"]
-        )
+    prefixes = [[V[i], V[j], *disjoint_closing(i, j)] for i, j in combinations(range(n), 2)]
     for p, (i, j) in enumerate(edge_list):
-        q = disjoint_edge({i, j})
-        x, y = edge_list[q]
-        tail = _minus(V, {V[i], V[j], V[x], V[y]}) + [V[x], V[y], U[q], T[q], "z"]
-        prefixes.append([T[p], V[i], U[p], V[j]] + tail)
-        prefixes.append([T[p], V[j], U[p], V[i]] + tail)
-        prefixes.append([T[p], V[i], W[p], V[j], U[p]] + tail)
+        tail = disjoint_closing(i, j)
+        prefixes += [[T[p], V[i], U[p], V[j], *tail], [T[p], V[j], U[p], V[i], *tail],
+                     [T[p], V[i], W[p], V[j], U[p], *tail]]
+    prefixes += [closing(edge, p) for p, edge in enumerate(edge_list)]
     for p, (i, j) in enumerate(edge_list):
-        prefixes.append(_minus(V, {V[i], V[j]}) + [V[i], V[j], U[p], T[p], "z"])
-    for p, (i, j) in enumerate(edge_list):
-        for h in range(n):
-            if h in (i, j):
-                continue
-            prefixes.append(
-                [V[i], V[j]] + _minus(V, {V[i], V[j], V[h]}) + [V[h], U[p], T[p], "z"]
-            )
+        prefixes += ([V[i], V[j], *closing((h,), p, i, j)] for h in range(n) if h not in (i, j))
 
     rows = [list(complete_prefix(gadget, prefix, Paradigm.LEXDFS).names) for prefix in prefixes]
     return gadget, rows

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 DFS = "tests/test_dfs_tree.py::"
 ORACLES = "tests/test_oracles.py::"
 TRAVERSALS = "tests/test_traversals.py::"
+ATTACHMENT = "tests/test_attachment.py::"
+VERIFIERS = "tests/test_verifiers.py::"
 CORE = "tests/test_core.py::"
 TOOLING = "tests/test_tooling.py::"
 DIGEST = "tests/test_digest.py::test_answers_match_their_digest"
@@ -87,6 +89,26 @@ MUTANTS = [
     Mutant("gs-witness-highest-out-neighbour", "attachment.py",
            "(v, (out & -out).bit_length() - 1)", "(v, out.bit_length() - 1)",
            (DIGEST + "[recognizers]",)),
+    # the peel that builds the attachment digraph
+    Mutant("peel-ignores-runner-up-disagreement", "attachment.py",
+           "                    if 0 <= u != seq[h]:\n", "                    if False:\n",
+           (ATTACHMENT + "test_mask_built_arcs_match_blocker_sets",)),
+    Mutant("peel-skips-runner-up-precedence", "attachment.py",
+           "if place[u] > place[v] and seq[h] != v:", "if False:",
+           (ATTACHMENT + "test_mask_built_arcs_match_blocker_sets",)),
+    Mutant("peel-final-pair-high-to-low", "attachment.py",
+           "        out[high] = 0\n        out[low] = 1 << high if low < high else 0\n",
+           "        out[low] = 0\n        out[high] = 1 << low if low < high else 0\n",
+           (ATTACHMENT + "test_digraph_shape_for_a_single_ordering",)),
+    # the four-point scan and the frontier check
+    Mutant("frontier-bfs-drops-from-the-back", "verifiers.py",
+           "paradigm is not Paradigm.DFS, paradigm is not Paradigm.BFS",
+           "paradigm is not Paradigm.DFS, True",
+           (VERIFIERS + "test_frontier_check_equals_four_point_beyond_connected_graphs",)),
+    Mutant("dfs-witness-scope-before-b", "verifiers.py",
+           "_SCOPE_BEFORE_B = (Paradigm.GS, Paradigm.MNS)",
+           "_SCOPE_BEFORE_B = (Paradigm.GS, Paradigm.MNS, Paradigm.DFS)",
+           (VERIFIERS + "test_frontier_check_equals_four_point_beyond_connected_graphs",)),
     # the exact oracles
     Mutant("prufer-edges-largest-leaf", "oracles.py",
            "        leaf = degree.index(1)  # the smallest leaf\n        edges",
@@ -187,14 +209,14 @@ MUTANTS = [
            "        return header + emit_profile(", "        return emit_profile(",
            (DIGEST + "[reductions]",)),
     Mutant("dfs-edge-rows-swapped", "reductions.py",
-           '        rows.append(shared + [V[a], V[b], F[b], "z"] + Z + [F[a]])\n'
-           '        rows.append(shared + [V[b], V[a], F[a], "z"] + Z + [F[b]])\n',
-           '        rows.append(shared + [V[b], V[a], F[a], "z"] + Z + [F[b]])\n'
-           '        rows.append(shared + [V[a], V[b], F[b], "z"] + Z + [F[a]])\n',
+           "for x, y in ((a, b), (b, a))", "for x, y in ((b, a), (a, b))",
            (DIGEST + "[reductions]",)),
     Mutant("dfs-tail-z-t-last", "reductions.py",
            "tails = [[zt, *_minus(Z, {zt})] for zt in Z]",
            "tails = [[*_minus(Z, {zt}), zt] for zt in Z]",
+           (DIGEST + "[reductions]",)),
+    Mutant("lexdfs-closing-t-before-u", "reductions.py",
+           '*tail, U[p], T[p], "z"]', '*tail, T[p], U[p], "z"]',
            (DIGEST + "[reductions]",)),
     Mutant("bfs-degree-tails-swapped", "reductions.py",
            "tails = [[Z[0], *Z[2:], Z[1]], [Z[1], *Z[2:], Z[0]]]",

@@ -360,15 +360,20 @@ def test_every_traced_name_resolves_to_a_callable():
     assert missing <= KNOWN_STALE
 
 
-def test_every_mutant_applies_once_and_names_existing_tests():
-    # tests/mutants.py runs outside Tier-1, so an edit that no longer
-    # applies or a test that was renamed would otherwise go unseen
+def _mutants():
     spec = importlib.util.spec_from_file_location("mutants", Path(__file__).with_name("mutants.py"))
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    return mutants.MUTANTS
+
+
+def test_every_mutant_applies_once_and_names_existing_tests():
+    # tests/mutants.py runs outside Tier-1, so an edit that no longer
+    # applies or a test that was renamed would otherwise go unseen
+    mutants = _mutants()
+    assert len({m.name for m in mutants}) == len(mutants)
     functions = {}
-    for m in mutants.MUTANTS:
+    for m in mutants:
         assert m.old != m.new and (PACKAGE / m.file).read_text().count(m.old) == 1, m.name
         for node_id in m.tests:
             path, _, name = node_id.partition("::")
@@ -376,6 +381,13 @@ def test_every_mutant_applies_once_and_names_existing_tests():
                 tree = ast.parse((README.parent / path).read_text())
                 functions[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
             assert not name or name.partition("[")[0] in functions[path], node_id
+
+
+def test_every_engine_module_has_a_mutant():
+    # a module that no mutant edits has no check that its tests catch a defect
+    engines = {"core", "traversals", "verifiers", "attachment", "dfs_tree", "oracles", "reductions"}
+    assert engines <= {p.stem for p in MODULES}
+    assert engines - {Path(m.file).stem for m in _mutants()} == set()
 
 
 def test_random_profiles_refuses_more_rows_than_permutations():
